@@ -81,7 +81,8 @@ void BM_BTreeInsert(benchmark::State& state) {
   auto tree = *storage::BTree::Create(&pool);
   uint64_t key = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tree.Insert(++key, key));
+    ++key;
+    benchmark::DoNotOptimize(tree.Insert(key, key));
   }
 }
 BENCHMARK(BM_BTreeInsert);

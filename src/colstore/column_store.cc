@@ -270,6 +270,10 @@ ColumnStoreStats ColumnStore::Stats() const {
   stats.blob_bytes = blob_bytes_;
   stats.file_bytes = pager_->file_bytes();
   stats.page_count = pager_->page_count();
+  const storage::BufferPoolStats& pool = pool_->stats();
+  stats.pool_hits = pool.hits;
+  stats.pool_misses = pool.misses;
+  stats.pool_evictions = pool.evictions;
   return stats;
 }
 

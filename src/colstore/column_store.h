@@ -53,6 +53,11 @@ struct ColumnStoreStats {
   uint64_t blob_bytes = 0;
   uint64_t file_bytes = 0;
   uint64_t page_count = 0;
+  // Page traffic of the store's own buffer pool (the row table's pool is
+  // counted separately, DiskNodeStore::buffer_stats()).
+  uint64_t pool_hits = 0;
+  uint64_t pool_misses = 0;
+  uint64_t pool_evictions = 0;
 };
 
 class ColumnStore {

@@ -108,11 +108,14 @@ class NodeStore {
   virtual StatusOr<NodeRow> GetByPre(uint32_t pre) = 0;
 
   // Zero-copy read path for the server's hot loops: `fn` sees the stored
-  // row without the payload strings (share, sealed, aggregate columns)
-  // being copied first — a share evaluation or a column fold touches a few
-  // bytes of rows that are kilobytes wide. The row reference is valid only
-  // during the call, and fn must not call back into the store (the memory
-  // backend holds its read lock across fn). The default copies via
+  // row without the payload strings (share, sealed) being copied first — a
+  // share evaluation touches a few bytes of rows that are kilobytes wide.
+  // The visited row carries the fixed columns, sealed payload and nonce; its
+  // agg/verify blobs may be empty even when the node has them (the disk
+  // backend never reads its column store here, DESIGN.md §12), so
+  // GetColumns is the only way to read blobs. The row reference is valid
+  // only during the call, and fn must not call back into the store (the
+  // memory backend holds its read lock across fn). The default copies via
   // GetByPre, so implementations without an in-place representation still
   // work.
   virtual Status VisitByPre(uint32_t pre,

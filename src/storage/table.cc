@@ -299,6 +299,20 @@ StatusOr<NodeRow> DiskNodeStore::GetByPre(uint32_t pre) {
   return row;
 }
 
+Status DiskNodeStore::VisitByPre(
+    uint32_t pre, const std::function<void(const NodeRow&)>& fn) {
+  NodeRow row;
+  {
+    // Fixed columns only: the column store is never touched, so a share
+    // read costs one index descent and one heap record (DESIGN.md §12).
+    std::shared_lock<std::shared_mutex> lock(mu_);
+    SSDB_ASSIGN_OR_RETURN(uint64_t rid, pre_index_->Get(pre));
+    SSDB_ASSIGN_OR_RETURN(row, FetchRow(rid));
+  }
+  fn(row);
+  return Status::OK();
+}
+
 StatusOr<NodeRow> DiskNodeStore::GetRoot() {
   std::shared_lock<std::shared_mutex> lock(mu_);
   // Root is the unique row with parent == 0: composite keys [0, 1<<32).
@@ -407,27 +421,10 @@ StatusOr<ColumnBlobs> DiskNodeStore::GetColumns(uint32_t pre) {
   std::shared_lock<std::shared_mutex> lock(mu_);
   SSDB_ASSIGN_OR_RETURN(uint64_t rid, pre_index_->Get(pre));
   SSDB_ASSIGN_OR_RETURN(NodeRow row, FetchRow(rid));
+  SSDB_RETURN_IF_ERROR(AttachColumns(&row));
   ColumnBlobs blobs;
-  if (columns_ == nullptr) {
-    // Pre-§12 layout: the blobs ride in the heap row.
-    blobs.agg = std::move(row.agg);
-    blobs.verify = std::move(row.verify);
-    return blobs;
-  }
-  StatusOr<std::string> agg =
-      columns_->Get(colstore::Family::kAgg, row.ShareNonce());
-  if (agg.ok()) {
-    blobs.agg = std::move(*agg);
-  } else if (!agg.status().IsNotFound()) {
-    return agg.status();
-  }
-  StatusOr<std::string> verify =
-      columns_->Get(colstore::Family::kVerify, row.ShareNonce());
-  if (verify.ok()) {
-    blobs.verify = std::move(*verify);
-  } else if (!verify.status().IsNotFound()) {
-    return verify.status();
-  }
+  blobs.agg = std::move(row.agg);
+  blobs.verify = std::move(row.verify);
   return blobs;
 }
 

@@ -12,9 +12,11 @@
 // share nonce, not in the heap row (DESIGN.md §12) — that is what lifts the
 // ~140-tag map cap the old in-row layout imposed. Databases created before
 // §12 have no .cols file and keep their blobs in-row; both layouts read
-// through GetColumns(). Rows returned by GetChildren/ScanDescendants carry
-// empty agg/verify on the column-store layout (the structure walks never
-// needed them); GetByPre/VisitByPre reattach them.
+// through GetColumns(). Rows returned by VisitByPre, GetChildren and
+// ScanDescendants carry empty agg/verify on the column-store layout (share
+// evaluation and the structure walks never need them, and skipping the
+// column store keeps those reads to the row table); GetByPre and GetRoot
+// reattach them.
 //
 // Mutations (DESIGN.md §12): PrepareMutation journals a validated plan
 // durably ("<path>.journal", written tmp+rename+fsync); CommitMutation
@@ -64,6 +66,8 @@ class DiskNodeStore : public NodeStore {
 
   Status Insert(const NodeRow& row) override;
   StatusOr<NodeRow> GetByPre(uint32_t pre) override;
+  Status VisitByPre(uint32_t pre,
+                    const std::function<void(const NodeRow&)>& fn) override;
   StatusOr<NodeRow> GetRoot() override;
   StatusOr<std::vector<NodeRow>> GetChildren(uint32_t parent_pre) override;
   Status ScanDescendants(
@@ -79,8 +83,11 @@ class DiskNodeStore : public NodeStore {
   Status CommitMutation(uint64_t txn) override;
   Status AbortMutation(uint64_t txn) override;
 
+  // Row-table pager only (heap + the three indexes); the column store's own
+  // pool is counted in column_stats().
   const BufferPoolStats& buffer_stats() const { return pool_->stats(); }
-  // Column-store footprint; zero stats on a pre-§12 (in-row blob) database.
+  // Column-store footprint and page traffic; zero stats on a pre-§12
+  // (in-row blob) database.
   colstore::ColumnStoreStats column_stats() const;
 
  private:

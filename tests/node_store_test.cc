@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
+#include <vector>
 
+#include "agg/columns.h"
+#include "filter/server_filter.h"
+#include "gf/field.h"
+#include "gf/ring.h"
 #include "storage/memory_backend.h"
 #include "storage/table.h"
 #include "util/file_util.h"
@@ -193,6 +199,194 @@ TEST(DiskNodeStoreTest, DiskStatsSeparateDataAndIndex) {
   EXPECT_GT(stats->data_bytes, 0u);
   EXPECT_GT(stats->index_bytes, 0u);
   EXPECT_GE(stats->file_bytes, stats->data_bytes + stats->index_bytes);
+}
+
+// --- Fixed-column reads on the column-store layout (DESIGN.md §12) ---------
+//
+// A star of kStarNodes nodes (root 1, leaves 2..kStarNodes) whose shares are
+// real ring elements, so LocalServerFilter can evaluate them, and whose §8
+// blobs are well-formed (kStarValues mapped values; word w of node pre is
+// pre * 1000 + w). `with_verify` adds a §9 track to every node, as on slice
+// 0 of a --verify-agg database.
+constexpr uint32_t kStarNodes = 40;
+constexpr size_t kStarValues = 10;
+
+gf::Ring StarRing() { return gf::Ring(*gf::Field::Make(83)); }
+
+NodeRow StarRow(uint32_t pre, bool with_verify) {
+  gf::Ring ring = StarRing();
+  NodeRow row;
+  row.pre = pre;
+  row.post = pre == 1 ? kStarNodes : pre - 1;
+  row.parent = pre == 1 ? 0 : 1;
+  row.share = ring.Serialize(ring.XMinus(pre));
+  row.sealed = "sealed" + std::to_string(pre);
+  std::vector<agg::Word> words(agg::WordsPerNode(kStarValues));
+  for (size_t w = 0; w < words.size(); ++w) {
+    words[w] = static_cast<agg::Word>(pre * 1000 + w);
+  }
+  row.agg = agg::SerializeWords(words);
+  if (with_verify) {
+    std::vector<uint64_t> wide(words.begin(), words.end());
+    std::vector<uint64_t> proof(words.size(), pre);
+    row.verify = agg::SerializeVerify(wide, proof);
+  }
+  return row;
+}
+
+std::unique_ptr<DiskNodeStore> MakeStar(const std::string& path,
+                                        bool with_verify) {
+  auto store = DiskNodeStore::Create(path);
+  SSDB_CHECK(store.ok()) << store.status().ToString();
+  for (uint32_t pre = 1; pre <= kStarNodes; ++pre) {
+    SSDB_CHECK_OK((*store)->Insert(StarRow(pre, with_verify)));
+  }
+  SSDB_CHECK_OK((*store)->Flush());
+  return std::move(*store);
+}
+
+// Page fetches (hits + misses) the column store's own pool has served.
+uint64_t ColumnFetches(const DiskNodeStore& store) {
+  colstore::ColumnStoreStats stats = store.column_stats();
+  return stats.pool_hits + stats.pool_misses;
+}
+
+TEST(DiskColumnReadTest, VisitByPreReadsFixedColumnsOnly) {
+  TempDir dir("disk_visit");
+  auto store = MakeStar(dir.FilePath("db"), /*with_verify=*/true);
+  for (uint32_t pre = 1; pre <= kStarNodes; ++pre) {
+    auto full = store->GetByPre(pre);
+    ASSERT_TRUE(full.ok()) << full.status().ToString();
+    NodeRow visited;
+    ASSERT_TRUE(
+        store->VisitByPre(pre, [&](const NodeRow& row) { visited = row; })
+            .ok());
+    EXPECT_EQ(visited.pre, full->pre);
+    EXPECT_EQ(visited.post, full->post);
+    EXPECT_EQ(visited.parent, full->parent);
+    EXPECT_EQ(visited.share, full->share);
+    EXPECT_EQ(visited.sealed, full->sealed);
+    EXPECT_EQ(visited.nonce, full->nonce);
+    EXPECT_TRUE(visited.agg.empty());
+    EXPECT_TRUE(visited.verify.empty());
+  }
+  EXPECT_TRUE(store->VisitByPre(kStarNodes + 1, [](const NodeRow&) {})
+                  .IsNotFound());
+}
+
+TEST(DiskColumnReadTest, ShareReadsNeverTouchTheColumnStore) {
+  TempDir dir("disk_visit_pool");
+  auto store = MakeStar(dir.FilePath("db"), /*with_verify=*/true);
+  uint64_t before = ColumnFetches(*store);
+  for (int round = 0; round < 3; ++round) {
+    for (uint32_t pre = 1; pre <= kStarNodes; ++pre) {
+      ASSERT_TRUE(store->VisitByPre(pre, [](const NodeRow&) {}).ok());
+    }
+  }
+  gf::Ring ring = StarRing();
+  filter::LocalServerFilter server(ring, store.get());
+  std::vector<uint32_t> pres;
+  for (uint32_t pre = 1; pre <= kStarNodes; ++pre) pres.push_back(pre);
+  const gf::Elem t = 5;
+  auto values = server.EvalAtBatch(pres, t);
+  ASSERT_TRUE(values.ok()) << values.status().ToString();
+  ASSERT_EQ(values->size(), pres.size());
+  for (size_t i = 0; i < pres.size(); ++i) {
+    EXPECT_EQ((*values)[i], ring.Eval(ring.XMinus(pres[i]), t));
+  }
+  EXPECT_EQ(ColumnFetches(*store), before);
+  // The counters do move on the blob path, so the equality above is not
+  // vacuous.
+  ASSERT_TRUE(store->GetColumns(2).ok());
+  EXPECT_GT(ColumnFetches(*store), before);
+}
+
+TEST(DiskColumnReadTest, FoldsReadBlobsThroughGetColumns) {
+  // Visited rows carry no blobs on this layout, so both folds must take
+  // the GetColumns path; the verify track must not disturb the plain fold.
+  TempDir dir("disk_fold");
+  auto plain = MakeStar(dir.FilePath("plain"), /*with_verify=*/false);
+  auto tracked = MakeStar(dir.FilePath("tracked"), /*with_verify=*/true);
+  agg::Spec spec;
+  spec.columns = agg::kAllColsMask;
+  spec.value_indexes = {0, 3};
+  for (uint32_t pre = 2; pre <= kStarNodes; ++pre) spec.pres.push_back(pre);
+  gf::Ring ring = StarRing();
+  std::vector<agg::Word> partials[2];
+  DiskNodeStore* stores[2] = {plain.get(), tracked.get()};
+  for (int i = 0; i < 2; ++i) {
+    filter::LocalServerFilter server(ring, stores[i]);
+    uint64_t before = ColumnFetches(*stores[i]);
+    auto result = server.PartialAggregate(spec);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_GT(ColumnFetches(*stores[i]), before);
+    partials[i] = *result;
+  }
+  EXPECT_EQ(partials[1], partials[0]);
+  // Each partial sums every column word of its value index over the
+  // frontier.
+  for (size_t g = 0; g < spec.value_indexes.size(); ++g) {
+    agg::Word expected = 0;
+    for (uint32_t pre : spec.pres) {
+      for (size_t c = 0; c < agg::kColCount; ++c) {
+        expected += static_cast<agg::Word>(
+            pre * 1000 + agg::WordIndex(static_cast<agg::Col>(c), kStarValues,
+                                        spec.value_indexes[g]));
+      }
+    }
+    EXPECT_EQ(partials[0][g], expected);
+  }
+  // The verified fold gets the track through the same path.
+  filter::LocalServerFilter server(ring, tracked.get());
+  auto verified = server.PartialAggregateVerified(spec);
+  ASSERT_TRUE(verified.ok()) << verified.status().ToString();
+  ASSERT_EQ(verified->size(), 1u);
+  EXPECT_EQ((*verified)[0].words, partials[0]);
+  EXPECT_EQ((*verified)[0].wide.size(), spec.value_indexes.size());
+}
+
+TEST(DiskColumnReadTest, GetByPreAndGetRootKeepBothBlobs) {
+  TempDir dir("disk_full_rows");
+  auto store = MakeStar(dir.FilePath("db"), /*with_verify=*/true);
+  auto root = store->GetRoot();
+  ASSERT_TRUE(root.ok()) << root.status().ToString();
+  EXPECT_EQ(*root, StarRow(1, true));
+  for (uint32_t pre = 1; pre <= kStarNodes; ++pre) {
+    auto row = store->GetByPre(pre);
+    ASSERT_TRUE(row.ok()) << row.status().ToString();
+    EXPECT_EQ(*row, StarRow(pre, true));
+  }
+  auto both = store->GetColumns(7);
+  ASSERT_TRUE(both.ok());
+  EXPECT_EQ(both->agg, StarRow(7, true).agg);
+  EXPECT_EQ(both->verify, StarRow(7, true).verify);
+}
+
+TEST(DiskColumnReadTest, InRowLayoutKeepsBlobsOnVisitedRows) {
+  // A store opened without its .cols file is the pre-§12 layout: blobs
+  // ride in the heap row, so VisitByPre still sees them.
+  TempDir dir("disk_in_row");
+  std::string path = dir.FilePath("db");
+  {
+    auto store = DiskNodeStore::Create(path);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE((*store)->Flush().ok());
+  }
+  ASSERT_EQ(std::remove((path + ".cols").c_str()), 0);
+  auto store = DiskNodeStore::Open(path);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  NodeRow expected = StarRow(1, true);
+  ASSERT_TRUE((*store)->Insert(expected).ok());
+  NodeRow visited;
+  ASSERT_TRUE(
+      (*store)->VisitByPre(1, [&](const NodeRow& row) { visited = row; })
+          .ok());
+  EXPECT_EQ(visited, expected);
+  auto blobs = (*store)->GetColumns(1);
+  ASSERT_TRUE(blobs.ok());
+  EXPECT_EQ(blobs->agg, expected.agg);
+  EXPECT_EQ(blobs->verify, expected.verify);
+  EXPECT_EQ((*store)->column_stats().pool_hits, 0u);
 }
 
 }  // namespace
