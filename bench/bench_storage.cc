@@ -15,6 +15,18 @@
 namespace ssdb {
 namespace {
 
+// A row with the fixed columns and a share only (no sealed payload,
+// aggregate columns or nonce).
+storage::NodeRow Row(uint32_t pre, uint32_t post, uint32_t parent,
+                     std::string share) {
+  storage::NodeRow row;
+  row.pre = pre;
+  row.post = post;
+  row.parent = parent;
+  row.share = std::move(share);
+  return row;
+}
+
 std::string SharedXml() {
   static const auto* kXml = new std::string([] {
     xmark::GeneratorOptions gen;
@@ -108,8 +120,8 @@ void BM_DescendantScan(benchmark::State& state) {
   storage::MemoryNodeStore store;
   const uint32_t n = 20000;
   for (uint32_t i = 1; i <= n; ++i) {
-    SSDB_CHECK_OK(store.Insert(
-        {i, n + 1 - i, i == 1 ? 0 : 1, std::string(72, 'x')}));
+    SSDB_CHECK_OK(
+        store.Insert(Row(i, n + 1 - i, i == 1 ? 0 : 1, std::string(72, 'x'))));
   }
   for (auto _ : state) {
     uint64_t count = 0;

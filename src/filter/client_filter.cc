@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <unordered_map>
 #include <utility>
 
@@ -9,10 +10,6 @@
 
 namespace ssdb::filter {
 namespace {
-
-// Cursor pull size: the client holds one batch at a time (thin client), the
-// server buffers the rest (§5.2).
-constexpr size_t kCursorBatch = 64;
 
 // The (pre, effective share nonce) pairs of a spec's frontier, sorted by
 // pre and deduped — the canonical order both the server fold and the client
@@ -112,19 +109,38 @@ StatusOr<std::vector<std::vector<NodeMeta>>> ClientFilter::ChildrenBatch(
 }
 
 StatusOr<std::vector<NodeMeta>> ClientFilter::Descendants(
-    const NodeMeta& node) {
-  TripScope trips(this);
-  ++stats_.server_calls;
-  SSDB_ASSIGN_OR_RETURN(uint64_t cursor,
-                        server_->OpenDescendantCursor(node.pre, node.post));
+    std::vector<NodeMeta> nodes) {
+  // A node inside another node's subtree adds nothing: its descendants are
+  // already the outer node's. Keeping only the outermost nodes makes the
+  // walked subtrees disjoint, so no node is reached twice. In pre order, a
+  // node is nested iff its post is below the last kept node's post.
+  std::sort(nodes.begin(), nodes.end());
+  std::vector<NodeMeta> frontier;
+  for (const NodeMeta& node : nodes) {
+    if (frontier.empty() || node.post > frontier.back().post) {
+      frontier.push_back(node);
+    }
+  }
+  // One ChildrenBatch exchange per tree level (DESIGN.md §6). A child must
+  // lie strictly inside its parent's pre/post window; a server that lists
+  // anything else could make the walk loop forever.
   std::vector<NodeMeta> all;
-  for (;;) {
-    ++stats_.server_calls;
-    SSDB_ASSIGN_OR_RETURN(std::vector<NodeMeta> batch,
-                          server_->NextNodes(cursor, kCursorBatch));
-    if (batch.empty()) break;
-    stats_.nodes_visited += batch.size();
-    all.insert(all.end(), batch.begin(), batch.end());
+  while (!frontier.empty()) {
+    SSDB_ASSIGN_OR_RETURN(std::vector<std::vector<NodeMeta>> lists,
+                          ChildrenBatch(frontier));
+    std::vector<NodeMeta> next;
+    for (size_t i = 0; i < lists.size(); ++i) {
+      for (const NodeMeta& child : lists[i]) {
+        if (child.pre <= frontier[i].pre || child.post >= frontier[i].post) {
+          return Status::Corruption("child " + std::to_string(child.pre) +
+                                    " outside the subtree of node " +
+                                    std::to_string(frontier[i].pre));
+        }
+      }
+      next.insert(next.end(), lists[i].begin(), lists[i].end());
+    }
+    all.insert(all.end(), next.begin(), next.end());
+    frontier = std::move(next);
   }
   return all;
 }

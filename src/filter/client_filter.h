@@ -87,8 +87,12 @@ class ClientFilter {
   // nodes[i].
   StatusOr<std::vector<std::vector<NodeMeta>>> ChildrenBatch(
       const std::vector<NodeMeta>& nodes);
-  // All proper descendants, pulled through the server-side cursor pipeline.
-  StatusOr<std::vector<NodeMeta>> Descendants(const NodeMeta& node);
+  // Every proper descendant of any of `nodes`, each exactly once, level by
+  // level (breadth-first, not document order). One ChildrenBatch exchange
+  // per tree level below the nodes, however many nodes there are — a
+  // descendant step costs O(depth) round trips, not O(candidates).
+  // Corruption if the server lists a child outside its parent's subtree.
+  StatusOr<std::vector<NodeMeta>> Descendants(std::vector<NodeMeta> nodes);
 
   // --- Aggregation (DESIGN.md §8) ---
   // Runs a server-side partial aggregate over the spec's frontier and

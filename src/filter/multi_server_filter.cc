@@ -174,15 +174,6 @@ StatusOr<NodeMeta> MultiServerFilter::GetNode(uint32_t pre) {
   return out;
 }
 
-StatusOr<std::vector<NodeMeta>> MultiServerFilter::Children(uint32_t pre) {
-  StatusOr<std::vector<NodeMeta>> out = Status::Internal("unset");
-  SSDB_RETURN_IF_ERROR(Primary([&] {
-    out = backends_[0]->Children(pre);
-    return out.status();
-  }));
-  return out;
-}
-
 StatusOr<std::vector<std::vector<NodeMeta>>> MultiServerFilter::ChildrenBatch(
     const std::vector<uint32_t>& pres) {
   StatusOr<std::vector<std::vector<NodeMeta>>> out = Status::Internal("unset");
@@ -191,30 +182,6 @@ StatusOr<std::vector<std::vector<NodeMeta>>> MultiServerFilter::ChildrenBatch(
     return out.status();
   }));
   return out;
-}
-
-StatusOr<uint64_t> MultiServerFilter::OpenDescendantCursor(uint32_t pre,
-                                                           uint32_t post) {
-  StatusOr<uint64_t> out = Status::Internal("unset");
-  SSDB_RETURN_IF_ERROR(Primary([&] {
-    out = backends_[0]->OpenDescendantCursor(pre, post);
-    return out.status();
-  }));
-  return out;
-}
-
-StatusOr<std::vector<NodeMeta>> MultiServerFilter::NextNodes(
-    uint64_t cursor, size_t max_batch) {
-  StatusOr<std::vector<NodeMeta>> out = Status::Internal("unset");
-  SSDB_RETURN_IF_ERROR(Primary([&] {
-    out = backends_[0]->NextNodes(cursor, max_batch);
-    return out.status();
-  }));
-  return out;
-}
-
-Status MultiServerFilter::CloseCursor(uint64_t cursor) {
-  return Primary([&] { return backends_[0]->CloseCursor(cursor); });
 }
 
 StatusOr<std::string> MultiServerFilter::FetchSealed(uint32_t pre) {
@@ -366,17 +333,6 @@ MultiServerFilter::PartialAggregateVerified(const agg::Spec& spec) {
   return out;
 }
 
-StatusOr<gf::Elem> MultiServerFilter::EvalAt(uint32_t pre, gf::Elem t) {
-  std::vector<gf::Elem> partial(backends_.size(), 0);
-  SSDB_RETURN_IF_ERROR(FanOut([&](size_t i) -> Status {
-    SSDB_ASSIGN_OR_RETURN(partial[i], backends_[i]->EvalAt(pre, t));
-    return Status::OK();
-  }));
-  gf::Elem sum = 0;
-  for (gf::Elem value : partial) sum = ring_.field().Add(sum, value);
-  return sum;
-}
-
 StatusOr<std::vector<gf::Elem>> MultiServerFilter::EvalAtBatch(
     const std::vector<uint32_t>& pres, gf::Elem t) {
   std::vector<std::vector<gf::Elem>> partial(backends_.size());
@@ -412,19 +368,6 @@ StatusOr<std::vector<gf::Elem>> MultiServerFilter::EvalPointsBatch(
     for (size_t j = 0; j < sum.size(); ++j) {
       sum[j] = ring_.field().Add(sum[j], partial[i][j]);
     }
-  }
-  return sum;
-}
-
-StatusOr<gf::RingElem> MultiServerFilter::FetchShare(uint32_t pre) {
-  std::vector<gf::RingElem> partial(backends_.size());
-  SSDB_RETURN_IF_ERROR(FanOut([&](size_t i) -> Status {
-    SSDB_ASSIGN_OR_RETURN(partial[i], backends_[i]->FetchShare(pre));
-    return Status::OK();
-  }));
-  gf::RingElem sum = std::move(partial[0]);
-  for (size_t i = 1; i < partial.size(); ++i) {
-    ring_.AddInto(&sum, partial[i]);
   }
   return sum;
 }

@@ -1,13 +1,13 @@
 /// MultiServerFilter (DESIGN.md §5): presents m share-slice servers as one
-/// ServerFilter. Share operations (EvalAt*, FetchShare*) fan out to every
-/// backend **concurrently** — one persistent worker thread per extra
-/// backend, the primary served on the calling thread — and the replies are
-/// summed (field sum for evaluations, ring sum for shares), which
-/// reconstructs the single-server answer because the additive split
-/// commutes with evaluation. Structure operations (navigation, cursors,
-/// sealed payloads) go to the primary (backend 0) alone: pre/post/parent
-/// are replicated to every slice store, so any backend could serve them,
-/// and asking one keeps them a single round trip.
+/// ServerFilter. Share operations (EvalAtBatch, EvalPointsBatch,
+/// FetchShareBatch, aggregates) fan out to every backend **concurrently** —
+/// one persistent worker thread per extra backend, the primary served on
+/// the calling thread — and the replies are summed (field sum for
+/// evaluations, ring sum for shares), which reconstructs the single-server
+/// answer because the additive split commutes with evaluation. Structure
+/// operations (navigation, sealed payloads) go to the primary (backend 0)
+/// alone: pre/post/parent are replicated to every slice store, so any
+/// backend could serve them, and asking one keeps them a single round trip.
 ///
 /// Round-trip accounting uses straggler semantics: a concurrent fan-out
 /// costs one step of latency, so RoundTrips() advances by the *maximum*
@@ -58,14 +58,8 @@ class MultiServerFilter : public ServerFilter {
   // --- Structure (primary only) ---
   StatusOr<NodeMeta> Root() override;
   StatusOr<NodeMeta> GetNode(uint32_t pre) override;
-  StatusOr<std::vector<NodeMeta>> Children(uint32_t pre) override;
   StatusOr<std::vector<std::vector<NodeMeta>>> ChildrenBatch(
       const std::vector<uint32_t>& pres) override;
-  StatusOr<uint64_t> OpenDescendantCursor(uint32_t pre,
-                                          uint32_t post) override;
-  StatusOr<std::vector<NodeMeta>> NextNodes(uint64_t cursor,
-                                            size_t max_batch) override;
-  Status CloseCursor(uint64_t cursor) override;
   StatusOr<std::string> FetchSealed(uint32_t pre) override;
   StatusOr<uint64_t> NodeCount() override;
   // Column blobs live on slice 0 alongside the sealed payloads; the mutation
@@ -95,12 +89,10 @@ class MultiServerFilter : public ServerFilter {
   // is tagged "server i:" so transport faults carry blame too.
   StatusOr<std::vector<agg::VerifiedPartial>> PartialAggregateVerified(
       const agg::Spec& spec) override;
-  StatusOr<gf::Elem> EvalAt(uint32_t pre, gf::Elem t) override;
   StatusOr<std::vector<gf::Elem>> EvalAtBatch(
       const std::vector<uint32_t>& pres, gf::Elem t) override;
   StatusOr<std::vector<gf::Elem>> EvalPointsBatch(
       uint32_t pre, const std::vector<gf::Elem>& points) override;
-  StatusOr<gf::RingElem> FetchShare(uint32_t pre) override;
   StatusOr<std::vector<gf::RingElem>> FetchShareBatch(
       const std::vector<uint32_t>& pres) override;
 

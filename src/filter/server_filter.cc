@@ -18,14 +18,6 @@ StatusOr<NodeMeta> LocalServerFilter::GetNode(uint32_t pre) {
   return meta;
 }
 
-StatusOr<std::vector<NodeMeta>> LocalServerFilter::Children(uint32_t pre) {
-  CountTrip();
-  std::vector<NodeMeta> out;
-  SSDB_RETURN_IF_ERROR(store_->VisitChildren(
-      pre, [&](const storage::NodeRow& row) { out.push_back(MetaOf(row)); }));
-  return out;
-}
-
 StatusOr<std::vector<std::vector<NodeMeta>>> LocalServerFilter::ChildrenBatch(
     const std::vector<uint32_t>& pres) {
   CountTrip();
@@ -39,84 +31,6 @@ StatusOr<std::vector<std::vector<NodeMeta>>> LocalServerFilter::ChildrenBatch(
     out.push_back(std::move(metas));
   }
   return out;
-}
-
-StatusOr<uint64_t> LocalServerFilter::OpenDescendantCursor(uint32_t pre,
-                                                           uint32_t post) {
-  return OpenDescendantCursor(SessionId{0}, pre, post);
-}
-
-StatusOr<std::vector<NodeMeta>> LocalServerFilter::NextNodes(
-    uint64_t cursor_id, size_t max_batch) {
-  return NextNodes(SessionId{0}, cursor_id, max_batch);
-}
-
-Status LocalServerFilter::CloseCursor(uint64_t cursor_id) {
-  return CloseCursor(SessionId{0}, cursor_id);
-}
-
-StatusOr<uint64_t> LocalServerFilter::OpenDescendantCursor(SessionId session,
-                                                           uint32_t pre,
-                                                           uint32_t post) {
-  CountTrip();
-  Cursor cursor;
-  cursor.session = session.value;
-  SSDB_RETURN_IF_ERROR(store_->ScanDescendants(
-      pre, post, [&](const storage::NodeRow& row) {
-        cursor.buffered.push_back(MetaOf(row));
-        return true;
-      }));
-  std::lock_guard<std::mutex> lock(cursors_mu_);
-  uint64_t id = next_cursor_++;
-  cursors_.emplace(id, std::move(cursor));
-  return id;
-}
-
-StatusOr<std::vector<NodeMeta>> LocalServerFilter::NextNodes(
-    SessionId session, uint64_t cursor_id, size_t max_batch) {
-  CountTrip();
-  std::lock_guard<std::mutex> lock(cursors_mu_);
-  auto it = cursors_.find(cursor_id);
-  // A cursor opened by another connection must look exactly like a cursor
-  // that does not exist (DESIGN.md §7).
-  if (it == cursors_.end() || it->second.session != session.value) {
-    return Status::NotFound("no such cursor");
-  }
-  Cursor& cursor = it->second;
-  std::vector<NodeMeta> batch;
-  while (cursor.offset < cursor.buffered.size() && batch.size() < max_batch) {
-    batch.push_back(cursor.buffered[cursor.offset++]);
-  }
-  if (batch.empty()) {
-    cursors_.erase(it);  // exhausted cursors self-close
-  }
-  return batch;
-}
-
-Status LocalServerFilter::CloseCursor(SessionId session, uint64_t cursor_id) {
-  CountTrip();
-  std::lock_guard<std::mutex> lock(cursors_mu_);
-  auto it = cursors_.find(cursor_id);
-  if (it != cursors_.end() && it->second.session == session.value) {
-    cursors_.erase(it);
-  }
-  return Status::OK();
-}
-
-void LocalServerFilter::EndSession(SessionId session) {
-  std::lock_guard<std::mutex> lock(cursors_mu_);
-  for (auto it = cursors_.begin(); it != cursors_.end();) {
-    if (it->second.session == session.value) {
-      it = cursors_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-uint64_t LocalServerFilter::OpenCursorCount() const {
-  std::lock_guard<std::mutex> lock(cursors_mu_);
-  return cursors_.size();
 }
 
 StatusOr<gf::RingElem> LocalServerFilter::ReadShare(uint32_t pre) {
@@ -142,11 +56,6 @@ StatusOr<gf::Elem> LocalServerFilter::EvalRowAt(uint32_t pre, gf::Elem t) {
   return value;
 }
 
-StatusOr<gf::Elem> LocalServerFilter::EvalAt(uint32_t pre, gf::Elem t) {
-  CountTrip();
-  return EvalRowAt(pre, t);
-}
-
 StatusOr<std::vector<gf::Elem>> LocalServerFilter::EvalAtBatch(
     const std::vector<uint32_t>& pres, gf::Elem t) {
   CountTrip();
@@ -169,11 +78,6 @@ StatusOr<std::vector<gf::Elem>> LocalServerFilter::EvalPointsBatch(
     out.push_back(ring_.Eval(share, t));
   }
   return out;
-}
-
-StatusOr<gf::RingElem> LocalServerFilter::FetchShare(uint32_t pre) {
-  CountTrip();
-  return ReadShare(pre);
 }
 
 StatusOr<std::vector<gf::RingElem>> LocalServerFilter::FetchShareBatch(

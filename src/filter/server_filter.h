@@ -10,20 +10,20 @@
 /// DESIGN.md §5) fans out to m share-slice servers and sums their replies.
 ///
 /// Concurrency (DESIGN.md §7): one LocalServerFilter is shared by every
-/// connection a concurrent transport dispatches. Share/structure reads are
-/// stateless and embarrassingly parallel (the store serializes internally);
-/// the only server-side state — the descendant-cursor registry — is a
-/// mutexed table keyed by (session, cursor id), so cursors opened on one
-/// connection are invisible to every other and are reclaimed by EndSession
-/// when a connection dies.
+/// connection a concurrent transport dispatches. Every entry point is
+/// stateless — the filter keeps nothing per connection between calls — so
+/// reads are embarrassingly parallel (the store serializes internally) and
+/// a connection that dies leaves nothing behind to reclaim.
+///
+/// The surface is batch-first: each structure and share read takes a node
+/// list, and the one-node Children/EvalAt/FetchShare are base-class
+/// conveniences that make a one-element batch call.
 
 #ifndef SSDB_FILTER_SERVER_FILTER_H_
 #define SSDB_FILTER_SERVER_FILTER_H_
 
 #include <atomic>
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <vector>
 
 #include "agg/columns.h"
@@ -57,10 +57,8 @@ inline NodeMeta MetaOf(const storage::NodeRow& row) {
   return NodeMeta{row.pre, row.post, row.parent, row.nonce};
 }
 
-// Identity of the connection issuing a cursor operation (DESIGN.md §7).
-// Session 0 is the implicit session of the single-connection entry points;
-// the concurrent transport passes each connection's id. A strong type so
-// the session can never be confused with a pre number or cursor id.
+// Connection identity in the retired session-scoped signatures below; the
+// wire surface is stateless and nothing in the library passes one.
 struct SessionId {
   uint64_t value = 0;
 };
@@ -72,62 +70,45 @@ class ServerFilter {
   // The unique node with parent == 0.
   virtual StatusOr<NodeMeta> Root() = 0;
   virtual StatusOr<NodeMeta> GetNode(uint32_t pre) = 0;
-  virtual StatusOr<std::vector<NodeMeta>> Children(uint32_t pre) = 0;
   // Children of many nodes at once; out[i] are the children of pres[i].
   // One round trip remotely — the step-level expansion of the batched
-  // query pipeline.
+  // query pipeline, and (level by level) of descendant steps.
   virtual StatusOr<std::vector<std::vector<NodeMeta>>> ChildrenBatch(
       const std::vector<uint32_t>& pres) = 0;
-
-  // The paper's nextNode() pipeline: the server buffers the intermediate
-  // result (descendants of a subtree) and the thin client pulls batches.
-  virtual StatusOr<uint64_t> OpenDescendantCursor(uint32_t pre,
-                                                  uint32_t post) = 0;
-  // Empty batch means the cursor is exhausted (and auto-closed).
-  virtual StatusOr<std::vector<NodeMeta>> NextNodes(uint64_t cursor,
-                                                    size_t max_batch) = 0;
-  virtual Status CloseCursor(uint64_t cursor) = 0;
-
-  // Session-scoped cursor entry points used by the concurrent transport
-  // (DESIGN.md §7): a cursor is only visible to the session that opened it.
-  // The defaults drop the session — correct for client-side stubs, where
-  // the remote server scopes sessions by connection.
-  virtual StatusOr<uint64_t> OpenDescendantCursor(SessionId session,
-                                                  uint32_t pre,
-                                                  uint32_t post) {
-    (void)session;
-    return OpenDescendantCursor(pre, post);
+  // One-node convenience over ChildrenBatch.
+  virtual StatusOr<std::vector<NodeMeta>> Children(uint32_t pre) {
+    SSDB_ASSIGN_OR_RETURN(std::vector<std::vector<NodeMeta>> lists,
+                          ChildrenBatch({pre}));
+    if (lists.size() != 1) return Status::Internal("batch size mismatch");
+    return std::move(lists[0]);
   }
-  virtual StatusOr<std::vector<NodeMeta>> NextNodes(SessionId session,
-                                                    uint64_t cursor,
-                                                    size_t max_batch) {
-    (void)session;
-    return NextNodes(cursor, max_batch);
-  }
-  virtual Status CloseCursor(SessionId session, uint64_t cursor) {
-    (void)session;
-    return CloseCursor(cursor);
-  }
-  // Reclaims everything the session left behind (open cursors); called by
-  // the transport when a connection closes, however it closed.
-  virtual void EndSession(SessionId session) { (void)session; }
-  // Open cursors across all sessions (leak detection in tests).
-  virtual uint64_t OpenCursorCount() const { return 0; }
 
-  // Evaluates the stored server share of node `pre` at point t.
-  virtual StatusOr<gf::Elem> EvalAt(uint32_t pre, gf::Elem t) = 0;
-  // Batched variants (one round trip remotely): many nodes at one point,
-  // and one node at many points (the advanced engine's look-ahead).
+  // Evaluates the stored server share of many nodes at one point t (one
+  // round trip remotely), and of one node at many points (the advanced
+  // engine's look-ahead).
   virtual StatusOr<std::vector<gf::Elem>> EvalAtBatch(
       const std::vector<uint32_t>& pres, gf::Elem t) = 0;
   virtual StatusOr<std::vector<gf::Elem>> EvalPointsBatch(
       uint32_t pre, const std::vector<gf::Elem>& points) = 0;
+  // One-node convenience over EvalAtBatch.
+  virtual StatusOr<gf::Elem> EvalAt(uint32_t pre, gf::Elem t) {
+    SSDB_ASSIGN_OR_RETURN(std::vector<gf::Elem> values,
+                          EvalAtBatch({pre}, t));
+    if (values.size() != 1) return Status::Internal("batch size mismatch");
+    return values[0];
+  }
 
-  // Full server share, needed by the client-side equality test.
-  virtual StatusOr<gf::RingElem> FetchShare(uint32_t pre) = 0;
-  // Many full shares in one round trip (batched equality tests).
+  // Full server shares, needed by the client-side equality test; many in
+  // one round trip.
   virtual StatusOr<std::vector<gf::RingElem>> FetchShareBatch(
       const std::vector<uint32_t>& pres) = 0;
+  // One-node convenience over FetchShareBatch.
+  virtual StatusOr<gf::RingElem> FetchShare(uint32_t pre) {
+    SSDB_ASSIGN_OR_RETURN(std::vector<gf::RingElem> shares,
+                          FetchShareBatch({pre}));
+    if (shares.size() != 1) return Status::Internal("batch size mismatch");
+    return std::move(shares[0]);
+  }
 
   // Partial aggregate (DESIGN.md §8): folds the selected aggregate columns
   // of the frontier nodes into one masked Z_{2^32} word per group — the
@@ -139,13 +120,6 @@ class ServerFilter {
       const agg::Spec& spec) {
     (void)spec;
     return Status::Unimplemented("server does not support aggregation");
-  }
-  // Session-scoped variant used by the concurrent transport; aggregation
-  // holds no per-session state, so the default drops the session.
-  virtual StatusOr<std::vector<agg::Word>> PartialAggregate(
-      SessionId session, const agg::Spec& spec) {
-    (void)session;
-    return PartialAggregate(spec);
   }
 
   // Verified partial aggregate (DESIGN.md §9): like PartialAggregate, but
@@ -159,11 +133,6 @@ class ServerFilter {
     (void)spec;
     return Status::Unimplemented(
         "server does not support verified aggregation");
-  }
-  virtual StatusOr<std::vector<agg::VerifiedPartial>> PartialAggregateVerified(
-      SessionId session, const agg::Spec& spec) {
-    (void)session;
-    return PartialAggregateVerified(spec);
   }
 
   // Sealed payload bytes (ciphertext; §4 extension). Empty when the
@@ -226,11 +195,49 @@ class ServerFilter {
   // Accumulated wall time of the slowest backend across concurrent
   // fan-outs; 0 for single-server filters.
   virtual double StragglerSeconds() const { return 0.0; }
+
+  // --- Retired entry points ---
+  // The descendant cursor (the paper's nextNode(), replaced by level-wise
+  // ChildrenBatch expansion in ClientFilter::Descendants) and the
+  // session-scoped overloads are gone from the wire and from every filter.
+  // These defaulted declarations remain only because perfbench's
+  // TracedFilter (perfbench/src/trace.h) overrides each of them; nothing
+  // in the library calls them.
+  virtual StatusOr<uint64_t> OpenDescendantCursor(uint32_t, uint32_t) {
+    return Status::Unimplemented("descendant cursors are retired");
+  }
+  virtual StatusOr<std::vector<NodeMeta>> NextNodes(uint64_t, size_t) {
+    return Status::Unimplemented("descendant cursors are retired");
+  }
+  virtual Status CloseCursor(uint64_t) {
+    return Status::Unimplemented("descendant cursors are retired");
+  }
+  virtual StatusOr<uint64_t> OpenDescendantCursor(SessionId, uint32_t pre,
+                                                  uint32_t post) {
+    return OpenDescendantCursor(pre, post);
+  }
+  virtual StatusOr<std::vector<NodeMeta>> NextNodes(SessionId,
+                                                    uint64_t cursor,
+                                                    size_t max_batch) {
+    return NextNodes(cursor, max_batch);
+  }
+  virtual Status CloseCursor(SessionId, uint64_t cursor) {
+    return CloseCursor(cursor);
+  }
+  virtual void EndSession(SessionId) {}
+  virtual uint64_t OpenCursorCount() const { return 0; }
+  virtual StatusOr<std::vector<agg::Word>> PartialAggregate(
+      SessionId, const agg::Spec& spec) {
+    return PartialAggregate(spec);
+  }
+  virtual StatusOr<std::vector<agg::VerifiedPartial>> PartialAggregateVerified(
+      SessionId, const agg::Spec& spec) {
+    return PartialAggregateVerified(spec);
+  }
 };
 
-// Thread-safe: any number of connections may call concurrently. Reads are
-// lock-free here (the store serializes internally); the cursor registry is
-// the one mutexed structure (DESIGN.md §7).
+// Thread-safe and stateless: any number of connections may call
+// concurrently; the store serializes internally (DESIGN.md §7).
 class LocalServerFilter : public ServerFilter {
  public:
   // `store` must outlive the filter.
@@ -239,28 +246,12 @@ class LocalServerFilter : public ServerFilter {
 
   StatusOr<NodeMeta> Root() override;
   StatusOr<NodeMeta> GetNode(uint32_t pre) override;
-  StatusOr<std::vector<NodeMeta>> Children(uint32_t pre) override;
   StatusOr<std::vector<std::vector<NodeMeta>>> ChildrenBatch(
       const std::vector<uint32_t>& pres) override;
-  StatusOr<uint64_t> OpenDescendantCursor(uint32_t pre,
-                                          uint32_t post) override;
-  StatusOr<std::vector<NodeMeta>> NextNodes(uint64_t cursor,
-                                            size_t max_batch) override;
-  Status CloseCursor(uint64_t cursor) override;
-  StatusOr<uint64_t> OpenDescendantCursor(SessionId session, uint32_t pre,
-                                          uint32_t post) override;
-  StatusOr<std::vector<NodeMeta>> NextNodes(SessionId session,
-                                            uint64_t cursor,
-                                            size_t max_batch) override;
-  Status CloseCursor(SessionId session, uint64_t cursor) override;
-  void EndSession(SessionId session) override;
-  uint64_t OpenCursorCount() const override;
-  StatusOr<gf::Elem> EvalAt(uint32_t pre, gf::Elem t) override;
   StatusOr<std::vector<gf::Elem>> EvalAtBatch(
       const std::vector<uint32_t>& pres, gf::Elem t) override;
   StatusOr<std::vector<gf::Elem>> EvalPointsBatch(
       uint32_t pre, const std::vector<gf::Elem>& points) override;
-  StatusOr<gf::RingElem> FetchShare(uint32_t pre) override;
   StatusOr<std::vector<gf::RingElem>> FetchShareBatch(
       const std::vector<uint32_t>& pres) override;
   StatusOr<std::vector<agg::Word>> PartialAggregate(
@@ -284,12 +275,6 @@ class LocalServerFilter : public ServerFilter {
   const gf::Ring& ring() const { return ring_; }
 
  private:
-  struct Cursor {
-    uint64_t session = 0;            // owning connection
-    std::vector<NodeMeta> buffered;  // server-side buffering (§5.2)
-    size_t offset = 0;
-  };
-
   void CountTrip() { round_trips_.fetch_add(1, std::memory_order_relaxed); }
 
   // Share reads through the store's zero-copy visit path: only the share
@@ -300,11 +285,6 @@ class LocalServerFilter : public ServerFilter {
 
   gf::Ring ring_;
   storage::NodeStore* store_;
-  // Guards cursors_ and next_cursor_; cursor ids are unique across
-  // sessions, ownership is checked on every access.
-  mutable std::mutex cursors_mu_;
-  std::map<uint64_t, Cursor> cursors_;
-  uint64_t next_cursor_ = 1;
   std::atomic<uint64_t> round_trips_{0};
 };
 

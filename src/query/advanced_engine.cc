@@ -118,14 +118,10 @@ StatusOr<std::vector<NodeMeta>> AdvancedEngine::RunSteps(
       // No tag to prune on: expand all descendants (plus the node itself
       // when stepping from the virtual document node, whose descendants
       // include the root), filter by look-ahead in one batch.
-      std::vector<NodeMeta> pool;
+      SSDB_ASSIGN_OR_RETURN(std::vector<NodeMeta> pool,
+                            filter_->Descendants(candidates));
       if (first && from_document_root) {
-        pool = candidates;
-      }
-      for (const NodeMeta& node : candidates) {
-        SSDB_ASSIGN_OR_RETURN(std::vector<NodeMeta> descendants,
-                              filter_->Descendants(node));
-        pool.insert(pool.end(), descendants.begin(), descendants.end());
+        pool.insert(pool.end(), candidates.begin(), candidates.end());
       }
       internal::Canonicalize(&pool);
       if (stats != nullptr) stats->candidates_examined += pool.size();

@@ -53,13 +53,9 @@ StatusOr<std::vector<NodeMeta>> SimpleEngine::RunSteps(
       if (step.axis == Step::Axis::kChild) {
         expanded = candidates;
       } else {
-        expanded = candidates;  // the root itself ...
-        for (const NodeMeta& node : candidates) {
-          SSDB_ASSIGN_OR_RETURN(std::vector<NodeMeta> descendants,
-                                filter_->Descendants(node));
-          expanded.insert(expanded.end(), descendants.begin(),
-                          descendants.end());
-        }
+        // The root itself, then everything below it.
+        SSDB_ASSIGN_OR_RETURN(expanded, filter_->Descendants(candidates));
+        expanded.insert(expanded.end(), candidates.begin(), candidates.end());
       }
     } else if (step.axis == Step::Axis::kChild) {
       // One exchange expands the whole candidate set.
@@ -69,12 +65,8 @@ StatusOr<std::vector<NodeMeta>> SimpleEngine::RunSteps(
         expanded.insert(expanded.end(), children.begin(), children.end());
       }
     } else {
-      for (const NodeMeta& node : candidates) {
-        SSDB_ASSIGN_OR_RETURN(std::vector<NodeMeta> descendants,
-                              filter_->Descendants(node));
-        expanded.insert(expanded.end(), descendants.begin(),
-                        descendants.end());
-      }
+      // One exchange per tree level expands the whole candidate set.
+      SSDB_ASSIGN_OR_RETURN(expanded, filter_->Descendants(candidates));
     }
     internal::Canonicalize(&expanded);
     if (stats != nullptr) stats->candidates_examined += expanded.size();

@@ -44,59 +44,6 @@ StatusOr<filter::NodeMeta> RemoteServerFilter::GetNode(uint32_t pre) {
   return meta;
 }
 
-StatusOr<std::vector<filter::NodeMeta>> RemoteServerFilter::Children(
-    uint32_t pre) {
-  Request request;
-  request.op = Op::kChildren;
-  request.pre = pre;
-  SSDB_ASSIGN_OR_RETURN(std::string payload, Call(request));
-  std::string_view view = payload;
-  return ConsumeNodeMetas(&view);
-}
-
-StatusOr<uint64_t> RemoteServerFilter::OpenDescendantCursor(uint32_t pre,
-                                                            uint32_t post) {
-  Request request;
-  request.op = Op::kOpenCursor;
-  request.pre = pre;
-  request.post = post;
-  SSDB_ASSIGN_OR_RETURN(std::string payload, Call(request));
-  std::string_view view = payload;
-  uint64_t cursor = 0;
-  SSDB_RETURN_IF_ERROR(GetVarint64(&view, &cursor));
-  return cursor;
-}
-
-StatusOr<std::vector<filter::NodeMeta>> RemoteServerFilter::NextNodes(
-    uint64_t cursor, size_t max_batch) {
-  Request request;
-  request.op = Op::kNextNodes;
-  request.cursor = cursor;
-  request.batch = max_batch;
-  SSDB_ASSIGN_OR_RETURN(std::string payload, Call(request));
-  std::string_view view = payload;
-  return ConsumeNodeMetas(&view);
-}
-
-Status RemoteServerFilter::CloseCursor(uint64_t cursor) {
-  Request request;
-  request.op = Op::kCloseCursor;
-  request.cursor = cursor;
-  return Call(request).status();
-}
-
-StatusOr<gf::Elem> RemoteServerFilter::EvalAt(uint32_t pre, gf::Elem t) {
-  Request request;
-  request.op = Op::kEvalAt;
-  request.pre = pre;
-  request.point = t;
-  SSDB_ASSIGN_OR_RETURN(std::string payload, Call(request));
-  std::string_view view = payload;
-  uint64_t value = 0;
-  SSDB_RETURN_IF_ERROR(GetVarint64(&view, &value));
-  return static_cast<gf::Elem>(value);
-}
-
 StatusOr<std::vector<std::vector<filter::NodeMeta>>>
 RemoteServerFilter::ChildrenBatch(const std::vector<uint32_t>& pres) {
   std::vector<std::vector<filter::NodeMeta>> all;
@@ -146,17 +93,6 @@ StatusOr<std::vector<gf::Elem>> RemoteServerFilter::EvalPointsBatch(
   return ConsumeElems(&view);
 }
 
-StatusOr<gf::RingElem> RemoteServerFilter::FetchShare(uint32_t pre) {
-  Request request;
-  request.op = Op::kFetchShare;
-  request.pre = pre;
-  SSDB_ASSIGN_OR_RETURN(std::string payload, Call(request));
-  std::string_view view = payload;
-  std::string_view share_bytes;
-  SSDB_RETURN_IF_ERROR(GetLengthPrefixed(&view, &share_bytes));
-  return ring_.Deserialize(share_bytes);
-}
-
 StatusOr<std::vector<gf::RingElem>> RemoteServerFilter::FetchShareBatch(
     const std::vector<uint32_t>& pres) {
   std::vector<gf::RingElem> all;
@@ -188,8 +124,7 @@ StatusOr<std::vector<agg::Word>> RemoteServerFilter::PartialAggregate(
   for (size_t begin = 0; begin < spec.pres.size(); begin += kAggChunk) {
     size_t end = std::min(begin + kAggChunk, spec.pres.size());
     Request request;
-    request.op = spec.value_indexes.size() == 1 ? Op::kAggregate
-                                                : Op::kAggregateBatch;
+    request.op = Op::kAggregateBatch;
     request.agg_columns = spec.columns;
     request.value_indexes = spec.value_indexes;
     request.pres.assign(spec.pres.begin() + begin, spec.pres.begin() + end);
@@ -214,8 +149,7 @@ RemoteServerFilter::PartialAggregateVerified(const agg::Spec& spec) {
   for (size_t begin = 0; begin < spec.pres.size(); begin += kAggChunk) {
     size_t end = std::min(begin + kAggChunk, spec.pres.size());
     Request request;
-    request.op = spec.value_indexes.size() == 1 ? Op::kAggregateVerified
-                                                : Op::kAggregateBatchVerified;
+    request.op = Op::kAggregateBatchVerified;
     request.agg_columns = spec.columns;
     request.value_indexes = spec.value_indexes;
     request.pres.assign(spec.pres.begin() + begin, spec.pres.begin() + end);

@@ -29,20 +29,12 @@ class RemoteServerFilter : public filter::ServerFilter {
 
   StatusOr<filter::NodeMeta> Root() override;
   StatusOr<filter::NodeMeta> GetNode(uint32_t pre) override;
-  StatusOr<std::vector<filter::NodeMeta>> Children(uint32_t pre) override;
   StatusOr<std::vector<std::vector<filter::NodeMeta>>> ChildrenBatch(
       const std::vector<uint32_t>& pres) override;
-  StatusOr<uint64_t> OpenDescendantCursor(uint32_t pre,
-                                          uint32_t post) override;
-  StatusOr<std::vector<filter::NodeMeta>> NextNodes(uint64_t cursor,
-                                                    size_t max_batch) override;
-  Status CloseCursor(uint64_t cursor) override;
-  StatusOr<gf::Elem> EvalAt(uint32_t pre, gf::Elem t) override;
   StatusOr<std::vector<gf::Elem>> EvalAtBatch(
       const std::vector<uint32_t>& pres, gf::Elem t) override;
   StatusOr<std::vector<gf::Elem>> EvalPointsBatch(
       uint32_t pre, const std::vector<gf::Elem>& points) override;
-  StatusOr<gf::RingElem> FetchShare(uint32_t pre) override;
   StatusOr<std::vector<gf::RingElem>> FetchShareBatch(
       const std::vector<uint32_t>& pres) override;
   // Partial sums are additive, so a frontier larger than one frame streams

@@ -36,7 +36,6 @@ ConcurrentServer::ConcurrentServer(gf::Ring ring,
                                    std::unique_ptr<UnixServerSocket> listener,
                                    ConcurrentServerOptions options)
     : server_(std::move(ring), filter),
-      filter_(filter),
       listener_(std::move(listener)),
       options_(options) {
   threads_ = options_.threads;
@@ -349,7 +348,7 @@ void ConcurrentServer::WorkerLoop(size_t index) {
                            : "receive error");
       continue;
     }
-    server_.HandleRequestInto(request, filter::SessionId{id}, &response);
+    server_.HandleRequestInto(request, &response);
     const bool is_shutdown =
         !request.empty() && static_cast<Op>(request[0]) == Op::kShutdown;
     // Fast path: the response fits the socket and goes out inline. A
@@ -494,9 +493,6 @@ void ConcurrentServer::CloseSession(uint64_t id, const char* why) {
   // Deregister before closing the fd: the kernel may recycle the fd
   // number for the very next accept.
   poller_->Remove(session->fd);
-  // Reclaim whatever the connection left behind, however it died. A
-  // catalog-only server (ssdb_router) has no filter and no cursor state.
-  if (filter_ != nullptr) filter_->EndSession(filter::SessionId{id});
   session->channel->Close();
   if (session->out_total > session->out_offset) {
     bytes_buffered_.fetch_sub(session->out_total - session->out_offset,

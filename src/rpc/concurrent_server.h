@@ -36,11 +36,10 @@
 /// progress — and max_write_buffer bounds what a non-reading client can
 /// pin in memory.
 ///
-/// Each connection gets a session id that scopes its cursor state in the
-/// shared ServerFilter; when a connection dies — cleanly, mid batch, or
-/// by sweep/budget — EndSession reclaims everything it left behind.
-/// Shutdown() stops accepting, drains in-flight requests, then closes
-/// what remains.
+/// The filter keeps no per-connection state (every op is stateless), so a
+/// connection that dies — cleanly, mid batch, or by sweep/budget — leaves
+/// only its transport session to drop. Shutdown() stops accepting, drains
+/// in-flight requests, then closes what remains.
 
 #ifndef SSDB_RPC_CONCURRENT_SERVER_H_
 #define SSDB_RPC_CONCURRENT_SERVER_H_
@@ -222,11 +221,10 @@ class ConcurrentServer {
   void FlushSession(uint64_t id);
   // Closes every connection idle past idle_timeout_seconds.
   void SweepIdle();
-  // Removes the session and reclaims its cursors; `why` feeds the log line.
+  // Removes the session and closes its channel; `why` feeds the log line.
   void CloseSession(uint64_t id, const char* why);
 
   RpcServer server_;
-  filter::ServerFilter* filter_;
   std::unique_ptr<UnixServerSocket> listener_;
   ConcurrentServerOptions options_;
   size_t threads_ = 0;
@@ -235,8 +233,8 @@ class ConcurrentServer {
   FramePool pool_;
 
   // Lock order (DESIGN.md §7): listener_mu_ → shard mutex → worker-queue
-  // mutex → poller internal mutex → filter cursor mutex → store lock →
-  // buffer-pool latch; never held across a channel Receive/Send/flush.
+  // mutex → poller internal mutex → store lock → buffer-pool latch; never
+  // held across a channel Receive/Send/flush.
   SessionShard shards_[kSessionShards];
   std::vector<std::unique_ptr<WorkerQueue>> queues_;
 

@@ -46,25 +46,8 @@ std::string EncodeRequest(const Request& request) {
     case Op::kPing:
       break;
     case Op::kGetNode:
-    case Op::kChildren:
-    case Op::kFetchShare:
     case Op::kFetchSealed:
       PutVarint64(&out, request.pre);
-      break;
-    case Op::kOpenCursor:
-      PutVarint64(&out, request.pre);
-      PutVarint64(&out, request.post);
-      break;
-    case Op::kNextNodes:
-      PutVarint64(&out, request.cursor);
-      PutVarint64(&out, request.batch);
-      break;
-    case Op::kCloseCursor:
-      PutVarint64(&out, request.cursor);
-      break;
-    case Op::kEvalAt:
-      PutVarint64(&out, request.pre);
-      PutVarint64(&out, request.point);
       break;
     case Op::kEvalAtBatch:
       PutVarint64(&out, request.point);
@@ -77,14 +60,6 @@ std::string EncodeRequest(const Request& request) {
     case Op::kEvalPointsBatch:
       PutVarint64(&out, request.pre);
       AppendVarintList(&out, request.points);
-      break;
-    case Op::kAggregate:
-    case Op::kAggregateVerified:
-      out.push_back(static_cast<char>(request.agg_columns));
-      PutVarint64(&out, request.value_indexes.empty()
-                            ? 0
-                            : request.value_indexes[0]);
-      AppendVarintList(&out, request.pres);
       break;
     case Op::kAggregateBatch:
     case Op::kAggregateBatchVerified:
@@ -128,30 +103,9 @@ StatusOr<Request> DecodeRequest(std::string_view data) {
     case Op::kPing:
       break;
     case Op::kGetNode:
-    case Op::kChildren:
-    case Op::kFetchShare:
     case Op::kFetchSealed:
       SSDB_RETURN_IF_ERROR(GetVarint64(&data, &v));
       request.pre = static_cast<uint32_t>(v);
-      break;
-    case Op::kOpenCursor:
-      SSDB_RETURN_IF_ERROR(GetVarint64(&data, &v));
-      request.pre = static_cast<uint32_t>(v);
-      SSDB_RETURN_IF_ERROR(GetVarint64(&data, &v));
-      request.post = static_cast<uint32_t>(v);
-      break;
-    case Op::kNextNodes:
-      SSDB_RETURN_IF_ERROR(GetVarint64(&data, &request.cursor));
-      SSDB_RETURN_IF_ERROR(GetVarint64(&data, &request.batch));
-      break;
-    case Op::kCloseCursor:
-      SSDB_RETURN_IF_ERROR(GetVarint64(&data, &request.cursor));
-      break;
-    case Op::kEvalAt:
-      SSDB_RETURN_IF_ERROR(GetVarint64(&data, &v));
-      request.pre = static_cast<uint32_t>(v);
-      SSDB_RETURN_IF_ERROR(GetVarint64(&data, &v));
-      request.point = static_cast<gf::Elem>(v);
       break;
     case Op::kEvalAtBatch:
       SSDB_RETURN_IF_ERROR(GetVarint64(&data, &v));
@@ -167,21 +121,12 @@ StatusOr<Request> DecodeRequest(std::string_view data) {
     case Op::kChildrenBatch:
       SSDB_RETURN_IF_ERROR(ConsumeVarintList(&data, &request.pres));
       break;
-    case Op::kAggregate:
     case Op::kAggregateBatch:
-    case Op::kAggregateVerified:
     case Op::kAggregateBatchVerified:
       if (data.empty()) return Status::Corruption("missing column mask");
       request.agg_columns = static_cast<uint8_t>(data[0]);
       data.remove_prefix(1);
-      if (request.op == Op::kAggregate ||
-          request.op == Op::kAggregateVerified) {
-        SSDB_RETURN_IF_ERROR(GetVarint64(&data, &v));
-        request.value_indexes.assign(1, static_cast<uint32_t>(v));
-      } else {
-        SSDB_RETURN_IF_ERROR(
-            ConsumeVarintList(&data, &request.value_indexes));
-      }
+      SSDB_RETURN_IF_ERROR(ConsumeVarintList(&data, &request.value_indexes));
       SSDB_RETURN_IF_ERROR(ConsumeVarintList(&data, &request.pres));
       break;
     case Op::kCatalog:

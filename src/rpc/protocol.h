@@ -21,16 +21,15 @@
 
 namespace ssdb::rpc {
 
+// Numbers 3–7, 9, 16 and 18 belonged to the retired scalar, cursor and
+// single-group aggregate ops; they stay reserved and DecodeRequest rejects
+// them. Every remaining op is connection-stateless: a reply depends on the
+// request and the slice's stored state, never on the connection it came in
+// on, so a server keeps nothing per connection.
 enum class Op : uint8_t {
   kRoot = 1,
   kGetNode = 2,
-  kChildren = 3,
-  kOpenCursor = 4,
-  kNextNodes = 5,
-  kCloseCursor = 6,
-  kEvalAt = 7,
   kEvalAtBatch = 8,
-  kFetchShare = 9,
   kNodeCount = 10,
   kShutdown = 11,  // graceful server stop
   kEvalPointsBatch = 12,
@@ -38,15 +37,12 @@ enum class Op : uint8_t {
   kFetchShareBatch = 14,
   kChildrenBatch = 15,
   // Aggregation (DESIGN.md §8): fold aggregate columns server-side and
-  // return one masked word per group. kAggregate carries a single group,
-  // kAggregateBatch a group list (group-by).
-  kAggregate = 16,
+  // return one masked word per group of the request's group list.
   kAggregateBatch = 17,
-  // Verified aggregation (DESIGN.md §9): identical request encodings to
-  // kAggregate/kAggregateBatch, but the reply keeps each slice's words
-  // separate and carries wide/proof partials from the slice holding the
-  // verification track, so the client can check and attribute tampering.
-  kAggregateVerified = 18,
+  // Verified aggregation (DESIGN.md §9): the kAggregateBatch request
+  // encoding, but the reply keeps each slice's words separate and carries
+  // wide/proof partials from the slice holding the verification track, so
+  // the client can check and attribute tampering.
   kAggregateBatchVerified = 19,
   // Shard catalog tier (DESIGN.md §10): served by ssdb_router, which holds
   // routing metadata only (no shares, no seeds). kCatalog returns the whole
@@ -56,8 +52,7 @@ enum class Op : uint8_t {
   // Control plane (DESIGN.md §11): the health-monitor probe. No request
   // fields; the reply is EncodePingInfo (build string, uptime, stats
   // epoch). Answered by every daemon — share servers and the metadata-only
-  // router alike — without touching the filter, so a probe never competes
-  // with query work for a cursor or session.
+  // router alike — without touching the filter.
   kPing = 22,
   // Mutations (DESIGN.md §12). kMutationState returns the slice's committed
   // version, nonce watermark, and pending txn. kInsert/kUpdate/kDelete
@@ -95,13 +90,10 @@ StatusOr<PingInfo> DecodePingInfo(std::string_view data);
 struct Request {
   Op op = Op::kRoot;
   uint32_t pre = 0;
-  uint32_t post = 0;
-  uint64_t cursor = 0;
-  uint64_t batch = 0;
   gf::Elem point = 0;
   std::vector<uint32_t> pres;
   std::vector<gf::Elem> points;
-  // Aggregation fields (kAggregate / kAggregateBatch, DESIGN.md §8); the
+  // Aggregation fields (kAggregateBatch[Verified], DESIGN.md §8); the
   // frontier rides in `pres`.
   uint8_t agg_columns = 0;             // agg::Col bitmask
   std::vector<uint32_t> value_indexes;  // one group per entry

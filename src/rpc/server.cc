@@ -13,8 +13,7 @@ namespace {
 // returning a fresh string) lets the concurrent transport encode the
 // response directly into a pooled frame buffer (rpc/frame_pool.h).
 Status Dispatch(const gf::Ring& ring, filter::ServerFilter* filter,
-                filter::SessionId session, const Request& request,
-                std::string* payload) {
+                const Request& request, std::string* payload) {
   switch (request.op) {
     case Op::kRoot: {
       SSDB_ASSIGN_OR_RETURN(filter::NodeMeta meta, filter->Root());
@@ -25,36 +24,6 @@ Status Dispatch(const gf::Ring& ring, filter::ServerFilter* filter,
       SSDB_ASSIGN_OR_RETURN(filter::NodeMeta meta,
                             filter->GetNode(request.pre));
       AppendNodeMeta(payload, meta);
-      return Status::OK();
-    }
-    case Op::kChildren: {
-      SSDB_ASSIGN_OR_RETURN(std::vector<filter::NodeMeta> metas,
-                            filter->Children(request.pre));
-      AppendNodeMetas(payload, metas);
-      return Status::OK();
-    }
-    case Op::kOpenCursor: {
-      SSDB_ASSIGN_OR_RETURN(
-          uint64_t cursor,
-          filter->OpenDescendantCursor(session, request.pre, request.post));
-      PutVarint64(payload, cursor);
-      return Status::OK();
-    }
-    case Op::kNextNodes: {
-      SSDB_ASSIGN_OR_RETURN(
-          std::vector<filter::NodeMeta> metas,
-          filter->NextNodes(session, request.cursor,
-                            static_cast<size_t>(request.batch)));
-      AppendNodeMetas(payload, metas);
-      return Status::OK();
-    }
-    case Op::kCloseCursor: {
-      return filter->CloseCursor(session, request.cursor);
-    }
-    case Op::kEvalAt: {
-      SSDB_ASSIGN_OR_RETURN(gf::Elem value,
-                            filter->EvalAt(request.pre, request.point));
-      PutVarint64(payload, value);
       return Status::OK();
     }
     case Op::kEvalAtBatch: {
@@ -68,12 +37,6 @@ Status Dispatch(const gf::Ring& ring, filter::ServerFilter* filter,
           std::vector<gf::Elem> values,
           filter->EvalPointsBatch(request.pre, request.points));
       AppendElems(payload, values);
-      return Status::OK();
-    }
-    case Op::kFetchShare: {
-      SSDB_ASSIGN_OR_RETURN(gf::RingElem share,
-                            filter->FetchShare(request.pre));
-      PutLengthPrefixed(payload, ring.Serialize(share));
       return Status::OK();
     }
     case Op::kFetchShareBatch: {
@@ -92,25 +55,23 @@ Status Dispatch(const gf::Ring& ring, filter::ServerFilter* filter,
       }
       return Status::OK();
     }
-    case Op::kAggregate:
     case Op::kAggregateBatch: {
       agg::Spec spec;
       spec.columns = request.agg_columns;
       spec.pres = request.pres;
       spec.value_indexes = request.value_indexes;
       SSDB_ASSIGN_OR_RETURN(std::vector<agg::Word> partials,
-                            filter->PartialAggregate(session, spec));
+                            filter->PartialAggregate(spec));
       AppendU32s(payload, partials);
       return Status::OK();
     }
-    case Op::kAggregateVerified:
     case Op::kAggregateBatchVerified: {
       agg::Spec spec;
       spec.columns = request.agg_columns;
       spec.pres = request.pres;
       spec.value_indexes = request.value_indexes;
       SSDB_ASSIGN_OR_RETURN(std::vector<agg::VerifiedPartial> partials,
-                            filter->PartialAggregateVerified(session, spec));
+                            filter->PartialAggregateVerified(spec));
       AppendVerifiedPartials(payload, partials);
       return Status::OK();
     }
@@ -217,7 +178,6 @@ Status RpcServer::ServeCatalog(const Request& request,
 }
 
 void RpcServer::HandleRequestInto(std::string_view request_bytes,
-                                  filter::SessionId session,
                                   std::string* response) {
   response->clear();
   StatusOr<Request> request = DecodeRequest(request_bytes);
@@ -254,16 +214,15 @@ void RpcServer::HandleRequestInto(std::string_view request_bytes,
         "this server serves shard-catalog metadata only (no share slice)")));
     return;
   }
-  Status s = Dispatch(ring_, filter_, session, *request, response);
+  Status s = Dispatch(ring_, filter_, *request, response);
   if (!s.ok()) {
     response->assign(EncodeErrorResponse(s));
   }
 }
 
-std::string RpcServer::HandleRequest(std::string_view request_bytes,
-                                     filter::SessionId session) {
+std::string RpcServer::HandleRequest(std::string_view request_bytes) {
   std::string response;
-  HandleRequestInto(request_bytes, session, &response);
+  HandleRequestInto(request_bytes, &response);
   return response;
 }
 

@@ -1,9 +1,10 @@
 /// RpcServer: decodes one request frame, dispatches it against a
 /// ServerFilter, and encodes the response. Serve() runs the prototype's
 /// single-connection loop; the concurrent transport
-/// (src/rpc/concurrent_server.h, DESIGN.md §7) calls HandleRequest per
-/// frame with each connection's session id, so one RpcServer instance is
-/// shared by every worker. In an m-server deployment (DESIGN.md §5) each
+/// (src/rpc/concurrent_server.h, DESIGN.md §7) calls HandleRequestInto per
+/// frame, so one RpcServer instance is shared by every worker. No op keeps
+/// per-connection state, so a frame's answer never depends on which
+/// connection sent it. In an m-server deployment (DESIGN.md §5) each
 /// host runs one server over its own share slice. ServerThread is a
 /// convenience for tests/examples that runs Serve() on a background thread.
 
@@ -48,15 +49,14 @@ class RpcServer {
                   std::map<std::string, std::string> encoded_entries);
 
   // Serves until the peer disconnects or sends kShutdown. Returns OK on a
-  // clean shutdown. Cursor state lands in the implicit session 0.
+  // clean shutdown.
   Status Serve(Channel* channel);
 
   // Handles a single encoded request (exposed for tests and the concurrent
   // transport). Stateless apart from the filter, so safe to call from many
-  // threads with distinct sessions; any malformed frame yields an error
-  // frame, never a crash (tests/fuzz_test.cc).
-  std::string HandleRequest(std::string_view request_bytes,
-                            filter::SessionId session = filter::SessionId{0});
+  // threads; any malformed frame — a retired op number included — yields
+  // an error frame, never a crash (tests/fuzz_test.cc).
+  std::string HandleRequest(std::string_view request_bytes);
 
   // HandleRequest into a caller-owned buffer: the response envelope and
   // payload are encoded in place, so a pooled frame buffer's capacity
@@ -64,7 +64,7 @@ class RpcServer {
   // per response. `response` is cleared first; `request_bytes` must not
   // alias it.
   void HandleRequestInto(std::string_view request_bytes,
-                         filter::SessionId session, std::string* response);
+                         std::string* response);
 
   // Total well-formed requests handled since construction (kPing's
   // stats_epoch): a cheap liveness signal the monitor can watch move.

@@ -28,8 +28,8 @@ constexpr char kNextNonce[] = "next_nonce";
 
 // Journal file magic (DESIGN.md §12): 8 bytes, then varint txn, then the
 // length-prefixed plan, then a fixed32 FNV-1a over everything after the
-// magic. Written tmp + fsync + rename, so a crash leaves either no journal
-// or a whole one.
+// magic. Written tmp + fsync + rename + directory fsync, so a crash leaves
+// either no journal or a whole one, and an acknowledged journal survives.
 constexpr char kJournalMagic[] = "SSDBJRN1";
 constexpr size_t kJournalMagicBytes = 8;
 
@@ -42,7 +42,16 @@ uint32_t Fnv1a(std::string_view data) {
   return h;
 }
 
-// Whole-file durable write: tmp file, fsync, atomic rename into place.
+// The directory holding `path` ("." for a bare file name).
+std::string ParentDirectory(const std::string& path) {
+  size_t slash = path.find_last_of('/');
+  if (slash == std::string::npos) return ".";
+  return slash == 0 ? "/" : path.substr(0, slash);
+}
+
+// Whole-file durable write: tmp file, fsync, atomic rename into place, then
+// fsync of the parent directory — without it the rename (and so a prepare
+// the coordinator was told is durable) can be lost on power failure.
 Status WriteFileDurable(const std::string& path, std::string_view contents) {
   const std::string tmp = path + ".tmp";
   int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
@@ -68,6 +77,12 @@ Status WriteFileDurable(const std::string& path, std::string_view contents) {
     ::unlink(tmp.c_str());
     return Status::IOError("rename " + tmp + " -> " + path + " failed");
   }
+  const std::string dir = ParentDirectory(path);
+  int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (dir_fd < 0) return Status::IOError("open directory " + dir + " failed");
+  int synced = ::fsync(dir_fd);
+  ::close(dir_fd);
+  if (synced != 0) return Status::IOError("fsync directory " + dir + " failed");
   return Status::OK();
 }
 

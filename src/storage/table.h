@@ -19,9 +19,10 @@
 // reattach them.
 //
 // Mutations (DESIGN.md §12): PrepareMutation journals a validated plan
-// durably ("<path>.journal", written tmp+rename+fsync); CommitMutation
-// applies it (erase range, pre/post shift, upserts), bumps the committed
-// version, syncs, and drops the journal; AbortMutation drops it unapplied.
+// durably ("<path>.journal": tmp, fsync, rename, directory fsync);
+// CommitMutation applies it (erase range, pre/post shift, upserts), bumps
+// the committed version, syncs, and drops the journal; AbortMutation drops
+// it unapplied.
 // A store reopened with a journal present surfaces the undecided txn in
 // GetMutationState().pending_txn for the coordinator's recovery sweep.
 //

@@ -1,18 +1,22 @@
 // Regression coverage for the batched evaluation pipeline: a query step
 // costs a bounded number of server round trips regardless of candidate-set
-// size, measured over a real unix-domain socket channel; and the scalar
-// matching APIs remain exact wrappers over the batch path.
+// size — descendant wildcard steps included, which expand level by level —
+// measured over a real unix-domain socket channel; and the scalar matching
+// APIs remain exact wrappers over the batch path.
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/database.h"
 #include "query/advanced_engine.h"
+#include "query/ground_truth.h"
 #include "query/simple_engine.h"
 #include "rpc/client.h"
 #include "rpc/server.h"
@@ -61,7 +65,8 @@ void WithRemote(TestDb* db,
   ::unlink(path.c_str());
 }
 
-// Round trips consumed by one query, measured at the wire.
+// Round trips consumed by one query, measured at the wire. A strict result
+// must equal the plaintext ground truth, a containment result contain it.
 uint64_t MeasureTrips(TestDb* db, rpc::RemoteServerFilter* remote,
                       query::QueryEngine* engine, const std::string& text,
                       query::MatchMode mode, size_t* result_size = nullptr,
@@ -72,11 +77,34 @@ uint64_t MeasureTrips(TestDb* db, rpc::RemoteServerFilter* remote,
   query::QueryStats stats;
   auto result = engine->Execute(*parsed, mode, &stats);
   EXPECT_TRUE(result.ok()) << text << ": " << result.status().ToString();
+  uint64_t trips = remote->round_trips() - before;
   if (result_size != nullptr) *result_size = result->size();
   if (stats_out != nullptr) *stats_out = stats;
-  (void)db;
-  return remote->round_trips() - before;
+  auto truth = query::EvaluateGroundTruth(*parsed, db->doc);
+  EXPECT_TRUE(truth.ok()) << text;
+  std::set<uint32_t> expected(truth->begin(), truth->end());
+  std::set<uint32_t> actual;
+  for (const filter::NodeMeta& node : *result) actual.insert(node.pre);
+  if (mode == query::MatchMode::kEquality) {
+    EXPECT_EQ(actual, expected) << text;
+  } else {
+    EXPECT_TRUE(std::includes(actual.begin(), actual.end(), expected.begin(),
+                              expected.end()))
+        << text;
+  }
+  EXPECT_EQ(actual.size(), result->size()) << text << ": duplicates";
+  return trips;
 }
+
+// Queries whose trip count must not depend on the candidate count: a
+// 5-step child path, and wildcard descendant steps, which cost one
+// exchange per tree level however wide each level is.
+const char* kFlatTripQueries[] = {
+    "/site/people/person/address/city",
+    "/site//*",
+    "/site/people//*",
+    "//person//*",
+};
 
 const char* kPrefixQueries[] = {
     "/site",
@@ -87,40 +115,57 @@ const char* kPrefixQueries[] = {
 };
 
 TEST(BatchPipelineTest, RoundTripsScaleWithStepsNotCandidates) {
-  // The same 5-step containment query over documents with 8x different
-  // candidate counts must cost the *identical* number of wire round trips,
-  // and that number must be small and linear in the step count.
-  std::vector<uint64_t> trips_by_size;
-  std::vector<size_t> results_by_size;
-  for (int persons : {5, 40}) {
-    auto db = BuildTestDb(WideXml(persons));
-    WithRemote(db.get(), [&](rpc::RemoteServerFilter* remote) {
-      filter::ClientFilter client(db->ring, prg::Prg(db->seed), remote);
-      query::SimpleEngine engine(&client, &db->map);
-      size_t results = 0;
-      query::QueryStats stats;
-      uint64_t trips = MeasureTrips(db.get(), remote, &engine,
-                                    kPrefixQueries[4],
-                                    query::MatchMode::kContainment, &results,
-                                    &stats);
-      trips_by_size.push_back(trips);
-      results_by_size.push_back(results);
-      // The engine-visible counter agrees with the wire.
-      EXPECT_EQ(stats.eval.round_trips, trips);
-      EXPECT_GT(stats.eval.batched_evaluations, 0u);
-    });
+  // The same query over documents with 8x different candidate counts must
+  // cost the *identical* number of wire round trips in either mode, with
+  // results checked against the ground truth at both sizes.
+  for (const char* text : kFlatTripQueries) {
+    for (auto mode :
+         {query::MatchMode::kContainment, query::MatchMode::kEquality}) {
+      std::vector<uint64_t> trips_by_size;
+      for (int persons : {5, 40}) {
+        auto db = BuildTestDb(WideXml(persons));
+        WithRemote(db.get(), [&](rpc::RemoteServerFilter* remote) {
+          filter::ClientFilter client(db->ring, prg::Prg(db->seed), remote);
+          query::SimpleEngine engine(&client, &db->map);
+          size_t results = 0;
+          query::QueryStats stats;
+          uint64_t trips = MeasureTrips(db.get(), remote, &engine, text, mode,
+                                        &results, &stats);
+          trips_by_size.push_back(trips);
+          EXPECT_GT(results, 0u) << text;
+          // On this document containment is exact for the city path: one
+          // city per person, in both modes.
+          if (std::string(text) == kPrefixQueries[4]) {
+            EXPECT_EQ(results, static_cast<size_t>(persons)) << text;
+          }
+          // The engine-visible counter agrees with the wire.
+          EXPECT_EQ(stats.eval.round_trips, trips) << text;
+        });
+      }
+      ASSERT_EQ(trips_by_size.size(), 2u);
+      EXPECT_EQ(trips_by_size[0], trips_by_size[1])
+          << text << ": round trips must not depend on candidate-set size";
+    }
   }
-  ASSERT_EQ(trips_by_size.size(), 2u);
-  EXPECT_EQ(trips_by_size[0], trips_by_size[1])
-      << "round trips must not depend on candidate-set size";
-  EXPECT_EQ(results_by_size[0], 5u);
-  EXPECT_EQ(results_by_size[1], 40u);
 
   // Simple engine, child steps only: Root + one eval batch for the first
   // step + (children batch + eval batch) per later step = 2s round trips
   // for an s-step query.
-  constexpr uint64_t kSteps = 5;
-  EXPECT_LE(trips_by_size[0], 2 * kSteps);
+  auto db = BuildTestDb(WideXml(40));
+  WithRemote(db.get(), [&](rpc::RemoteServerFilter* remote) {
+    filter::ClientFilter client(db->ring, prg::Prg(db->seed), remote);
+    query::SimpleEngine engine(&client, &db->map);
+    size_t results = 0;
+    query::QueryStats stats;
+    uint64_t trips = MeasureTrips(db.get(), remote, &engine,
+                                  kPrefixQueries[4],
+                                  query::MatchMode::kContainment, &results,
+                                  &stats);
+    EXPECT_EQ(results, 40u);
+    EXPECT_GT(stats.eval.batched_evaluations, 0u);
+    constexpr uint64_t kSteps = 5;
+    EXPECT_LE(trips, 2 * kSteps);
+  });
 }
 
 TEST(BatchPipelineTest, RoundTripsGrowLinearlyWithQueryLength) {
@@ -144,19 +189,23 @@ TEST(BatchPipelineTest, RoundTripsGrowLinearlyWithQueryLength) {
 }
 
 TEST(BatchPipelineTest, AdvancedEngineTripsIndependentOfCandidates) {
-  std::vector<uint64_t> trips_by_size;
-  for (int persons : {5, 40}) {
-    auto db = BuildTestDb(WideXml(persons));
-    WithRemote(db.get(), [&](rpc::RemoteServerFilter* remote) {
-      filter::ClientFilter client(db->ring, prg::Prg(db->seed), remote);
-      query::AdvancedEngine engine(&client, &db->map);
-      trips_by_size.push_back(
-          MeasureTrips(db.get(), remote, &engine, kPrefixQueries[4],
-                       query::MatchMode::kContainment));
-    });
+  for (const char* text : kFlatTripQueries) {
+    for (auto mode :
+         {query::MatchMode::kContainment, query::MatchMode::kEquality}) {
+      std::vector<uint64_t> trips_by_size;
+      for (int persons : {5, 40}) {
+        auto db = BuildTestDb(WideXml(persons));
+        WithRemote(db.get(), [&](rpc::RemoteServerFilter* remote) {
+          filter::ClientFilter client(db->ring, prg::Prg(db->seed), remote);
+          query::AdvancedEngine engine(&client, &db->map);
+          trips_by_size.push_back(
+              MeasureTrips(db.get(), remote, &engine, text, mode));
+        });
+      }
+      ASSERT_EQ(trips_by_size.size(), 2u);
+      EXPECT_EQ(trips_by_size[0], trips_by_size[1]) << text;
+    }
   }
-  ASSERT_EQ(trips_by_size.size(), 2u);
-  EXPECT_EQ(trips_by_size[0], trips_by_size[1]);
 }
 
 TEST(BatchPipelineTest, EqualityModeTripsIndependentOfCandidates) {

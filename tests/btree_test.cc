@@ -149,7 +149,9 @@ TEST_F(BTreeTest, ModelCheckAgainstStdMap) {
         auto value = tree->Get(key);
         auto it = model.find(key);
         ASSERT_EQ(value.ok(), it != model.end());
-        if (value.ok()) EXPECT_EQ(*value, it->second);
+        if (value.ok()) {
+          EXPECT_EQ(*value, it->second);
+        }
       }
     }
   }

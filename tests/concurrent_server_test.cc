@@ -7,15 +7,13 @@
 //  * a 256-connection soak: mostly-idle connections with a rotating hot
 //    subset, ground-truth results throughout, and the idle sweep
 //    reclaiming every abandoned session afterwards;
-//  * cursors opened on one connection are invisible to every other;
 //  * a client that disconnects mid-batch must not wedge the accept loop or
-//    leak cursor-table entries;
+//    leak its connection;
 //  * the accept loop pauses at the max_connections budget (backpressure)
 //    and resumes as connections close;
 //  * a client that stops *reading* parks its response tail on the session
 //    (buffered write path), never a worker; a reader stalled past the
-//    max_write_buffer budget is closed and its cursors reclaimed; drained
-//    tails arrive byte-identical;
+//    max_write_buffer budget is closed; drained tails arrive byte-identical;
 //  * graceful shutdown drains and closes every connection.
 
 #include <gtest/gtest.h>
@@ -92,16 +90,8 @@ struct ServerFixture {
   }
 };
 
-// Spin until the server-side cursor table drains (close processing is
+// Spin until the open-connection count reaches `want` (close processing is
 // asynchronous: the dispatcher must notice the dead fd first).
-bool WaitForCursorCount(TestDb* db, uint64_t want, int rounds = 500) {
-  for (int i = 0; i < rounds; ++i) {
-    if (db->server->OpenCursorCount() == want) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  return db->server->OpenCursorCount() == want;
-}
-
 bool WaitForOpenConnections(ConcurrentServer* server, size_t want,
                             int rounds = 1000) {
   for (int i = 0; i < rounds; ++i) {
@@ -192,8 +182,8 @@ TEST_P(ConcurrentServerTest, ManyClientsMatchGroundTruth) {
 
 // The high-connection soak: 256 mostly-idle connections, a rotating hot
 // subset doing real share ops, ground truth throughout; afterwards the
-// idle sweep must reclaim every session (cursors included) without any
-// client closing cleanly.
+// idle sweep must reclaim every session without any client closing
+// cleanly.
 TEST_P(ConcurrentServerTest, HighConnectionSoakAndIdleSweep) {
   ConcurrentServerOptions options;
   options.idle_timeout_seconds = 1;
@@ -244,22 +234,19 @@ TEST_P(ConcurrentServerTest, HighConnectionSoakAndIdleSweep) {
     EXPECT_EQ(result->size(), truth->size()) << "round " << round;
   }
 
-  // Park cursors on a few fresh connections and abandon everything: the
-  // idle sweep alone must close all sessions and reclaim the cursors.
-  auto root = *local->Root();
-  std::vector<std::unique_ptr<RemoteServerFilter>> cursor_conns;
+  // A few fresh connections answer one request each, then everything is
+  // abandoned: the idle sweep alone must close every session, the fresh
+  // ones included.
+  std::vector<std::unique_ptr<RemoteServerFilter>> late_conns;
   for (int i = 0; i < 4; ++i) {
-    cursor_conns.push_back(fixture.Connect());
-    auto cursor =
-        cursor_conns.back()->OpenDescendantCursor(root.pre, root.post);
-    ASSERT_TRUE(cursor.ok());
-    ASSERT_TRUE(cursor_conns.back()->NextNodes(*cursor, 2).ok());
+    late_conns.push_back(fixture.Connect());
+    ASSERT_TRUE(late_conns.back()->Root().ok());
   }
-  EXPECT_GE(fixture.db->server->OpenCursorCount(), 4u);
+  EXPECT_GE(fixture.server->Snapshot().open_connections, 4u);
 
   EXPECT_TRUE(WaitForOpenConnections(fixture.server.get(), 0));
-  EXPECT_TRUE(WaitForCursorCount(fixture.db.get(), 0));
-  EXPECT_GE(fixture.server->Snapshot().connections_idle_closed, kConnections);
+  EXPECT_GE(fixture.server->Snapshot().connections_idle_closed,
+            kConnections + late_conns.size());
 
   // The server survived sweeping its whole connection set and still
   // accepts new clients.
@@ -308,67 +295,27 @@ TEST_P(ConcurrentServerTest, BackpressurePausesAcceptAtBudget) {
   EXPECT_EQ(fixture.server->Snapshot().connections_closed, 3u);
 }
 
-TEST_P(ConcurrentServerTest, CursorsAreInvisibleAcrossConnections) {
-  ServerFixture fixture("cursors", GetParam());
-  auto a = fixture.Connect();
-  auto b = fixture.Connect();
-  auto root = a->Root();
-  ASSERT_TRUE(root.ok());
-
-  auto cursor_a = a->OpenDescendantCursor(root->pre, root->post);
-  ASSERT_TRUE(cursor_a.ok());
-  auto cursor_b = b->OpenDescendantCursor(root->pre, root->post);
-  ASSERT_TRUE(cursor_b.ok());
-
-  // The other connection's cursor id must look like a cursor that does not
-  // exist — not readable, not closable.
-  auto stolen = b->NextNodes(*cursor_a, 4);
-  EXPECT_FALSE(stolen.ok());
-  EXPECT_TRUE(stolen.status().IsNotFound());
-  EXPECT_TRUE(b->CloseCursor(*cursor_a).ok());  // silently ignored
-  auto own = a->NextNodes(*cursor_a, 4);
-  ASSERT_TRUE(own.ok());
-  EXPECT_FALSE(own->empty());
-
-  // Both cursors drain fully and independently.
-  size_t streamed_a = own->size();
-  for (;;) {
-    auto nodes = a->NextNodes(*cursor_a, 16);
-    ASSERT_TRUE(nodes.ok());
-    if (nodes->empty()) break;
-    streamed_a += nodes->size();
-  }
-  size_t streamed_b = 0;
-  for (;;) {
-    auto nodes = b->NextNodes(*cursor_b, 16);
-    ASSERT_TRUE(nodes.ok());
-    if (nodes->empty()) break;
-    streamed_b += nodes->size();
-  }
-  EXPECT_EQ(streamed_a, *fixture.db->server->NodeCount() - 1);
-  EXPECT_EQ(streamed_a, streamed_b);
-  EXPECT_EQ(fixture.db->server->OpenCursorCount(), 0u);
-  ASSERT_TRUE(a->Shutdown().ok());
-  ASSERT_TRUE(b->Shutdown().ok());
-}
-
 TEST_P(ConcurrentServerTest, MidBatchDisconnectCleansUpAndKeepsServing) {
   ServerFixture fixture("disconnect", GetParam());
-  auto root = *fixture.db->server->Root();
+  Request fetch;
+  fetch.op = Op::kFetchShareBatch;
+  fetch.pres.assign(4096, 2);
+  const std::string fetch_bytes = EncodeRequest(fetch);
 
-  // Ten clients in a row abandon a half-read cursor by dying abruptly —
-  // no CloseCursor, no shutdown handshake.
+  // Ten clients in a row die abruptly mid batch — a share batch asked for,
+  // its response never read, no shutdown handshake.
   for (int i = 0; i < 10; ++i) {
-    auto doomed = fixture.Connect();
-    auto cursor = doomed->OpenDescendantCursor(root.pre, root.post);
-    ASSERT_TRUE(cursor.ok());
-    ASSERT_TRUE(doomed->NextNodes(*cursor, 2).ok());
-    EXPECT_GE(fixture.db->server->OpenCursorCount(), 1u);
-    doomed.reset();  // closes the socket with the cursor still open
+    auto doomed = ConnectUnix(fixture.path);
+    ASSERT_TRUE(doomed.ok());
+    ASSERT_TRUE((*doomed)->Send(fetch_bytes).ok());
+    (*doomed)->Close();  // closes the socket with the reply unread
   }
 
-  // The server must reclaim every abandoned cursor...
-  EXPECT_TRUE(WaitForCursorCount(fixture.db.get(), 0));
+  // The server must close every abandoned connection...
+  EXPECT_TRUE(WaitForAtLeast(
+      [&] { return fixture.server->Snapshot().connections_closed; }, 10));
+  EXPECT_EQ(fixture.server->Snapshot().connections_accepted, 10u);
+  EXPECT_TRUE(WaitForOpenConnections(fixture.server.get(), 0));
   // ...and the accept loop must still be alive for new clients.
   auto survivor = fixture.Connect();
   filter::ClientFilter client(fixture.db->ring, prg::Prg(fixture.db->seed),
@@ -415,9 +362,9 @@ TEST_P(ConcurrentServerTest, ShutdownUnblocksWorkerStalledOnPartialFrame) {
 // A client that stops reading its response must not park a worker: the
 // unsent tail parks on the session (the EPOLLOUT buffered write path)
 // while every worker keeps serving hot clients; a reader stalled past
-// max_write_buffer is closed — cursors reclaimed — instead of buffering
-// without bound; and a tail the client eventually drains arrives
-// byte-identical, with the session re-armed for reads afterwards.
+// max_write_buffer is closed instead of buffering without bound; and a
+// tail the client eventually drains arrives byte-identical, with the
+// session re-armed for reads afterwards.
 TEST_P(ConcurrentServerTest, SlowReaderBuffersThenBudgetCloses) {
   ConcurrentServerOptions options;
   options.threads = 2;
@@ -425,7 +372,6 @@ TEST_P(ConcurrentServerTest, SlowReaderBuffersThenBudgetCloses) {
   options.max_write_buffer = 1 << 20;  // 1 MiB budget
   ServerFixture fixture("slowreader", GetParam(), options);
   filter::ServerFilter* local = fixture.db->server.get();
-  auto root = *local->Root();
   gf::RingElem base_share = *local->FetchShare(2);
   std::vector<gf::Elem> base_evals = *local->EvalAtBatch({1, 2, 3, 4}, 5);
 
@@ -465,23 +411,22 @@ TEST_P(ConcurrentServerTest, SlowReaderBuffersThenBudgetCloses) {
   }
   for (std::thread& t : hot) t.join();
 
-  // Budget hog: parks a cursor, then requests a batch whose unsent tail
-  // exceeds max_write_buffer — the server closes it rather than buffer
-  // without bound, and the close reclaims the cursor.
+  // Budget hog: answers one small request, then asks for a batch whose
+  // unsent tail exceeds max_write_buffer — the server closes it rather
+  // than buffer without bound, leaving only the stalled reader open.
   auto hog = ConnectUnix(fixture.path);
   ASSERT_TRUE(hog.ok());
-  Request open;
-  open.op = Op::kOpenCursor;
-  open.pre = root.pre;
-  open.post = root.post;
-  ASSERT_TRUE((*hog)->Send(EncodeRequest(open)).ok());
+  Request root;
+  root.op = Op::kRoot;
+  ASSERT_TRUE((*hog)->Send(EncodeRequest(root)).ok());
   ASSERT_TRUE((*hog)->Receive().ok());  // small response; read it
-  EXPECT_GE(fixture.db->server->OpenCursorCount(), 1u);
+  EXPECT_TRUE(WaitForOpenConnections(fixture.server.get(), 2));
   fetch.pres.assign(budget_count, 2);
   ASSERT_TRUE((*hog)->Send(EncodeRequest(fetch)).ok());
   ASSERT_TRUE(WaitForAtLeast(
       [&] { return fixture.server->Snapshot().write_budget_closed; }, 1));
-  EXPECT_TRUE(WaitForCursorCount(fixture.db.get(), 0));
+  EXPECT_EQ(fixture.server->Snapshot().write_budget_closed, 1u);
+  EXPECT_TRUE(WaitForOpenConnections(fixture.server.get(), 1));
 
   // The stalled reader finally drains: every buffered byte arrives,
   // intact and in order.

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <set>
 
 #include "query/simple_engine.h"
 #include "rpc/protocol.h"
@@ -20,6 +21,7 @@ namespace ssdb {
 namespace {
 
 using testing_helpers::BuildTestDb;
+using testing_helpers::Row;
 using testing_helpers::SmallAuctionXml;
 
 TEST(FailureTest, CorruptedPageIsDetectedByChecksum) {
@@ -31,7 +33,7 @@ TEST(FailureTest, CorruptedPageIsDetectedByChecksum) {
     for (uint32_t i = 1; i <= 200; ++i) {
       ASSERT_TRUE(
           (*store)
-              ->Insert({i, i, i == 1 ? 0 : 1, std::string(70, 'x')})
+              ->Insert(Row(i, i, i == 1 ? 0 : 1, std::string(70, 'x')))
               .ok());
     }
     ASSERT_TRUE((*store)->Flush().ok());
@@ -72,7 +74,7 @@ TEST(FailureTest, TruncatedFileIsRejected) {
   {
     auto store = storage::DiskNodeStore::Create(path);
     ASSERT_TRUE(store.ok());
-    ASSERT_TRUE((*store)->Insert({1, 1, 0, "x"}).ok());
+    ASSERT_TRUE((*store)->Insert(Row(1, 1, 0, "x")).ok());
     ASSERT_TRUE((*store)->Flush().ok());
   }
   auto size = FileSize(path);
@@ -167,11 +169,24 @@ TEST(FailureTest, ShareDeserializationRejectsWrongLength) {
   EXPECT_TRUE(ring.Deserialize(valid).ok());
 }
 
-TEST(FailureTest, OutOfRangeQueriesAndCursors) {
+TEST(FailureTest, OutOfRangeQueriesAndDescendants) {
   auto db = BuildTestDb(SmallAuctionXml());
   EXPECT_FALSE(db->server->EvalAt(99999, 5).ok());
   EXPECT_FALSE(db->server->FetchShare(99999).ok());
-  EXPECT_FALSE(db->server->NextNodes(31337, 8).ok());
+  // A node past the end has no children to expand, so its descendant
+  // walk ends after one level with nothing; the root's still delivers
+  // every proper descendant exactly once.
+  auto none = db->client->Descendants({filter::NodeMeta{31337, 31337, 1}});
+  ASSERT_TRUE(none.ok());
+  EXPECT_TRUE(none->empty());
+  auto root = db->client->Root();
+  ASSERT_TRUE(root.ok());
+  auto all = db->client->Descendants({*root});
+  ASSERT_TRUE(all.ok());
+  std::set<uint32_t> distinct;
+  for (const filter::NodeMeta& node : *all) distinct.insert(node.pre);
+  EXPECT_EQ(distinct.size(), all->size());
+  EXPECT_EQ(all->size(), db->doc.ElementCount() - 1);
 }
 
 }  // namespace

@@ -37,15 +37,18 @@ enum class Fault {
   kStaleReplay, // answer with the previous reply to the same operation
   kGroupDrop,   // drop the last group from aggregate replies
   kProofOnly,   // corrupt only the §9 wide/proof track, words stay honest
+  kChildCycle,  // list a node as its own child (children replies)
+  kForeignChild,  // list the last node in pre order as a child of all others
 };
 
 struct FaultConfig {
   Fault fault = Fault::kNone;
   // Surfaces the fault applies to. Evaluation and share replies always use
   // field arithmetic (+1), whatever the fault kind says about words.
-  bool on_eval = false;       // EvalAt / EvalAtBatch / EvalPointsBatch
-  bool on_share = false;      // FetchShare / FetchShareBatch
+  bool on_eval = false;       // EvalAtBatch / EvalPointsBatch
+  bool on_share = false;      // FetchShareBatch
   bool on_aggregate = false;  // PartialAggregate / PartialAggregateVerified
+  bool on_children = false;   // ChildrenBatch (kChildCycle / kForeignChild)
   size_t offset = 0;          // word/group index the fault targets
   uint32_t bit = 0;           // bit position for kBitFlip / kProofOnly
   double probability = 1.0;   // chance a reply is corrupted at all
@@ -87,29 +90,34 @@ class TamperingServerFilter : public filter::ServerFilter {
   uint64_t faults_injected() const { return faults_injected_; }
   FaultConfig& config() { return config_; }
 
-  // --- honest structure plane (the adversary model leaves pre/post/parent
-  // in the clear; DESIGN.md §3) ---
+  // --- structure plane (the adversary model leaves pre/post/parent in the
+  // clear; DESIGN.md §3). Only children replies can be corrupted, to break
+  // the tree shape a descendant walk relies on. ---
   StatusOr<filter::NodeMeta> Root() override { return inner_->Root(); }
   StatusOr<filter::NodeMeta> GetNode(uint32_t pre) override {
     return inner_->GetNode(pre);
   }
-  StatusOr<std::vector<filter::NodeMeta>> Children(uint32_t pre) override {
-    return inner_->Children(pre);
-  }
   StatusOr<std::vector<std::vector<filter::NodeMeta>>> ChildrenBatch(
       const std::vector<uint32_t>& pres) override {
-    return inner_->ChildrenBatch(pres);
-  }
-  StatusOr<uint64_t> OpenDescendantCursor(uint32_t pre,
-                                          uint32_t post) override {
-    return inner_->OpenDescendantCursor(pre, post);
-  }
-  StatusOr<std::vector<filter::NodeMeta>> NextNodes(
-      uint64_t cursor, size_t max_batch) override {
-    return inner_->NextNodes(cursor, max_batch);
-  }
-  Status CloseCursor(uint64_t cursor) override {
-    return inner_->CloseCursor(cursor);
+    SSDB_ASSIGN_OR_RETURN(std::vector<std::vector<filter::NodeMeta>> lists,
+                          inner_->ChildrenBatch(pres));
+    if (!config_.on_children || (config_.fault != Fault::kChildCycle &&
+                                 config_.fault != Fault::kForeignChild)) {
+      return lists;
+    }
+    for (size_t i = 0; i < lists.size(); ++i) {
+      if (!rng_.Fire(config_.probability)) continue;
+      uint32_t pre = pres[i];
+      if (config_.fault == Fault::kForeignChild) {
+        SSDB_ASSIGN_OR_RETURN(uint64_t count, inner_->NodeCount());
+        pre = static_cast<uint32_t>(count);
+        if (pre == pres[i]) continue;  // not a cycle: that is kChildCycle
+      }
+      SSDB_ASSIGN_OR_RETURN(filter::NodeMeta extra, inner_->GetNode(pre));
+      lists[i].push_back(extra);
+      ++faults_injected_;
+    }
+    return lists;
   }
   StatusOr<std::string> FetchSealed(uint32_t pre) override {
     return inner_->FetchSealed(pre);
@@ -118,10 +126,6 @@ class TamperingServerFilter : public filter::ServerFilter {
   uint64_t RoundTrips() const override { return inner_->RoundTrips(); }
 
   // --- evaluation plane ---
-  StatusOr<gf::Elem> EvalAt(uint32_t pre, gf::Elem t) override {
-    SSDB_ASSIGN_OR_RETURN(gf::Elem value, inner_->EvalAt(pre, t));
-    return MaybePerturbElem(value);
-  }
   StatusOr<std::vector<gf::Elem>> EvalAtBatch(
       const std::vector<uint32_t>& pres, gf::Elem t) override {
     SSDB_ASSIGN_OR_RETURN(std::vector<gf::Elem> values,
@@ -138,11 +142,6 @@ class TamperingServerFilter : public filter::ServerFilter {
   }
 
   // --- share plane ---
-  StatusOr<gf::RingElem> FetchShare(uint32_t pre) override {
-    SSDB_ASSIGN_OR_RETURN(gf::RingElem share, inner_->FetchShare(pre));
-    MaybePerturbShare(&share);
-    return share;
-  }
   StatusOr<std::vector<gf::RingElem>> FetchShareBatch(
       const std::vector<uint32_t>& pres) override {
     SSDB_ASSIGN_OR_RETURN(std::vector<gf::RingElem> shares,

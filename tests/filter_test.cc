@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
+#include "fault_injection.h"
 #include "test_helpers.h"
 
 namespace ssdb::filter {
@@ -39,24 +43,58 @@ TEST(ServerFilterTest, NavigationMatchesDom) {
   ASSERT_TRUE(children.ok());
   ASSERT_EQ(children->size(), 3u);  // regions, people, open_auctions
 
-  // Cursor pipeline delivers every proper descendant exactly once.
-  auto cursor = db->server->OpenDescendantCursor(root->pre, root->post);
-  ASSERT_TRUE(cursor.ok());
-  size_t total = 0;
-  for (;;) {
-    auto batch = db->server->NextNodes(*cursor, 7);
-    ASSERT_TRUE(batch.ok());
-    if (batch->empty()) break;
-    total += batch->size();
+  // Level-wise expansion delivers every proper descendant exactly once,
+  // also when a candidate lies inside another candidate's subtree.
+  for (const std::vector<NodeMeta>& from :
+       {std::vector<NodeMeta>{*root},
+        std::vector<NodeMeta>{(*children)[1], *root, (*children)[0]}}) {
+    auto descendants = db->client->Descendants(from);
+    ASSERT_TRUE(descendants.ok());
+    std::set<uint32_t> distinct;
+    for (const NodeMeta& node : *descendants) {
+      EXPECT_GT(node.pre, root->pre);
+      distinct.insert(node.pre);
+    }
+    EXPECT_EQ(distinct.size(), descendants->size());
+    EXPECT_EQ(descendants->size(), db->doc.ElementCount() - 1);
   }
-  EXPECT_EQ(total, db->doc.ElementCount() - 1);
 }
 
-TEST(ServerFilterTest, UnknownCursorAndNodeFail) {
+TEST(ServerFilterTest, UnknownNodeFailsAndLeafHasNoDescendants) {
   auto db = BuildTestDb(SmallAuctionXml());
-  EXPECT_FALSE(db->server->NextNodes(999, 10).ok());
   EXPECT_FALSE(db->server->GetNode(9999).ok());
-  EXPECT_TRUE(db->server->CloseCursor(12345).ok());  // idempotent
+  auto leaf = db->client->GetNode(db->doc.ElementCount());  // last in pre
+  ASSERT_TRUE(leaf.ok());
+  auto none = db->client->Descendants({*leaf});
+  ASSERT_TRUE(none.ok());
+  EXPECT_TRUE(none->empty());
+  // An empty candidate set costs no exchange at all.
+  uint64_t before = db->server->RoundTrips();
+  EXPECT_TRUE(db->client->Descendants({})->empty());
+  EXPECT_EQ(db->server->RoundTrips(), before);
+}
+
+TEST(ClientFilterTest, DescendantsRejectChildOutsideParentSubtree) {
+  // A server that lists a node as its own child (a cycle), or lists a node
+  // from outside the parent's subtree, must end the walk with Corruption
+  // instead of looping or returning foreign nodes.
+  auto db = BuildTestDb(SmallAuctionXml());
+  for (testing_helpers::Fault fault : {testing_helpers::Fault::kChildCycle,
+                                       testing_helpers::Fault::kForeignChild}) {
+    testing_helpers::FaultConfig config;
+    config.fault = fault;
+    config.on_children = true;
+    testing_helpers::TamperingServerFilter tampering(db->ring,
+                                                     db->server.get(), config);
+    ClientFilter client(db->ring, prg::Prg(db->seed), &tampering);
+    auto root = client.Root();
+    ASSERT_TRUE(root.ok());
+    auto descendants = client.Descendants({*root});
+    ASSERT_FALSE(descendants.ok());
+    EXPECT_EQ(descendants.status().code(), StatusCode::kCorruption)
+        << descendants.status().ToString();
+    EXPECT_GT(tampering.faults_injected(), 0u);
+  }
 }
 
 TEST(ClientFilterTest, ContainmentMatchesDomTruth) {

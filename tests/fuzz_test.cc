@@ -6,13 +6,16 @@
 //  * the RPC request decoder: random, truncated, and oversized frames fed
 //    to RpcServer::HandleRequest must yield error frames, never crashes or
 //    hangs (what an untrusted client can throw at a concurrent server,
-//    DESIGN.md §7);
+//    DESIGN.md §7), and the retired op numbers are refused both there and
+//    over a live connection;
 //  * the verified-aggregation reply path (DESIGN.md §9): truncated,
 //    bit-flipped, random and oversized proof-bearing frames must end in an
 //    error or a verification failure, never a crash or a silently wrong
 //    answer.
 
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <map>
 #include <memory>
@@ -27,8 +30,11 @@
 #include "query/simple_engine.h"
 #include "rpc/channel.h"
 #include "rpc/client.h"
+#include "rpc/concurrent_server.h"
 #include "rpc/protocol.h"
 #include "rpc/server.h"
+#include "rpc/socket_channel.h"
+#include "rpc/wire.h"
 #include "shard/catalog.h"
 #include "shard/router.h"
 #include "storage/mutation.h"
@@ -200,6 +206,41 @@ TEST(FuzzTest, QueryParserNeverCrashesOnGarbage) {
   }
 }
 
+// The op numbers of the retired scalar (kChildren 3, kEvalAt 7, kFetchShare
+// 9), cursor (4, 5, 6) and single-group aggregate (16, 18) ops. They stay
+// reserved: no frame that starts with one may be served.
+constexpr uint8_t kRetiredOps[] = {3, 4, 5, 6, 7, 9, 16, 18};
+
+// Each retired op byte alone, followed by one to three zero bytes (the
+// shapes the old ops decoded), and followed by random bytes.
+std::vector<std::string> RetiredOpFrames(Random* rng) {
+  std::vector<std::string> frames;
+  for (uint8_t op : kRetiredOps) {
+    for (size_t zeros = 0; zeros <= 3; ++zeros) {
+      frames.push_back(std::string(1, static_cast<char>(op)) +
+                       std::string(zeros, '\0'));
+    }
+    for (int trial = 0; trial < 32; ++trial) {
+      std::string frame(1, static_cast<char>(op));
+      size_t len = 1 + rng->Uniform(24);
+      for (size_t i = 0; i < len; ++i) {
+        frame.push_back(static_cast<char>(rng->Uniform(256)));
+      }
+      frames.push_back(std::move(frame));
+    }
+  }
+  return frames;
+}
+
+void ExpectRetiredOpsRejected(rpc::RpcServer* server, Random* rng) {
+  for (const std::string& frame : RetiredOpFrames(rng)) {
+    std::string response = server->HandleRequest(frame);
+    ASSERT_FALSE(response.empty());
+    EXPECT_FALSE(rpc::DecodeResponse(response).ok())
+        << "op " << static_cast<int>(static_cast<uint8_t>(frame[0]));
+  }
+}
+
 // Every frame must produce a well-formed response frame: an ok envelope
 // for the (rare) random frame that decodes to a valid request, an error
 // envelope for everything else. No crash, no hang, no empty reply.
@@ -233,13 +274,10 @@ TEST(FuzzTest, RpcRequestDecoderNeverCrashesOnGarbage) {
   // Truncations of every valid request, at every prefix length.
   rpc::Request request;
   request.pre = 3;
-  request.post = 9;
-  request.cursor = 1;
-  request.batch = 4;
   request.point = 5;
   request.pres = {1, 2, 3};
   request.points = {4, 5};
-  request.agg_columns = 0x15;  // kAggregate/kAggregateBatch fields
+  request.agg_columns = 0x15;  // kAggregateBatch[Verified] fields
   request.value_indexes = {0, 2};
   request.doc_id = "doc-x";  // kCatalogResolve field
   request.txn = 1;           // mutation fields (ops 24..26, DESIGN.md §12)
@@ -259,15 +297,14 @@ TEST(FuzzTest, RpcRequestDecoderNeverCrashesOnGarbage) {
   // rejected at decode, not allocated (would OOM or hang the worker).
   for (int shift = 40; shift <= 62; ++shift) {
     // Batch opcodes, including the mutation planner's column fetch (27).
-    for (uint8_t op : {8, 12, 14, 15, 16, 17, 18, 19, 27}) {
+    for (uint8_t op : {8, 12, 14, 15, 17, 19, 27}) {
       std::string frame;
       frame.push_back(static_cast<char>(op));
       // kEvalAtBatch/kEvalPointsBatch carry a point/pre varint before the
-      // count; the aggregate ops (16..19) a column-mask byte (+ a value
-      // index for the scalar forms); for the others the count comes first.
+      // count; the aggregate ops (17, 19) a column-mask byte; for the
+      // others the count comes first.
       if (op == 8 || op == 12) frame.push_back(1);
-      if (op >= 16 && op <= 19) frame.push_back(0x01);
-      if (op == 16 || op == 18) frame.push_back(0);
+      if (op == 17 || op == 19) frame.push_back(0x01);
       uint64_t huge = uint64_t{1} << shift;
       while (huge >= 0x80) {
         frame.push_back(static_cast<char>(0x80 | (huge & 0x7f)));
@@ -284,12 +321,11 @@ TEST(FuzzTest, RpcRequestDecoderNeverCrashesOnGarbage) {
   // masks (including invalid bits), out-of-range value indexes, and absent
   // pres must produce an ok or error envelope — never a crash — and valid
   // folds must stay exact after the barrage.
-  constexpr rpc::Op kAggOps[] = {
-      rpc::Op::kAggregate, rpc::Op::kAggregateBatch,
-      rpc::Op::kAggregateVerified, rpc::Op::kAggregateBatchVerified};
+  constexpr rpc::Op kAggOps[] = {rpc::Op::kAggregateBatch,
+                                 rpc::Op::kAggregateBatchVerified};
   for (int trial = 0; trial < 500; ++trial) {
     rpc::Request agg_request;
-    agg_request.op = kAggOps[rng.Uniform(4)];
+    agg_request.op = kAggOps[rng.Uniform(2)];
     agg_request.agg_columns = static_cast<uint8_t>(rng.Uniform(256));
     size_t groups = 1 + rng.Uniform(4);
     for (size_t g = 0; g < groups; ++g) {
@@ -304,15 +340,59 @@ TEST(FuzzTest, RpcRequestDecoderNeverCrashesOnGarbage) {
   }
 
   // The garbage barrage must not have corrupted the server: a normal
-  // request still round-trips, and no cursors leaked from random frames
-  // that happened to decode as kOpenCursor.
+  // request still round-trips, and every retired op number is still
+  // refused.
   rpc::Request probe;
   probe.op = rpc::Op::kNodeCount;
   auto after = rpc::DecodeResponse(server.HandleRequest(
       rpc::EncodeRequest(probe)));
   ASSERT_TRUE(after.ok());
-  db->server->EndSession(filter::SessionId{0});
-  EXPECT_EQ(db->server->OpenCursorCount(), 0u);
+  ExpectRetiredOpsRejected(&server, &rng);
+}
+
+// The retired op numbers over a live concurrent-server connection: each
+// frame draws an error frame, and the connection keeps answering kRoot
+// correctly after every one of them.
+TEST(FuzzTest, RetiredOpsRejectedOverLiveConnection) {
+  auto db = testing_helpers::BuildTestDb(testing_helpers::SmallAuctionXml());
+  Random rng(3579);
+  std::string path = "/tmp/ssdb_fuzz_retired_" +
+                     std::to_string(::getpid()) + ".sock";
+  auto listener = rpc::UnixServerSocket::Listen(path);
+  ASSERT_TRUE(listener.ok());
+  rpc::ConcurrentServerOptions options;
+  options.threads = 1;
+  rpc::ConcurrentServer live(db->ring, db->server.get(),
+                             std::move(*listener), options);
+  ASSERT_TRUE(live.Start().ok());
+  auto channel = rpc::ConnectUnix(path);
+  ASSERT_TRUE(channel.ok());
+
+  auto local_root = db->server->Root();
+  ASSERT_TRUE(local_root.ok());
+  rpc::Request root_request;
+  root_request.op = rpc::Op::kRoot;
+  const std::string root_frame = rpc::EncodeRequest(root_request);
+  for (const std::string& frame : RetiredOpFrames(&rng)) {
+    const int op = static_cast<uint8_t>(frame[0]);
+    ASSERT_TRUE((*channel)->Send(frame).ok());
+    auto response = (*channel)->Receive();
+    ASSERT_TRUE(response.ok()) << "op " << op;
+    EXPECT_FALSE(rpc::DecodeResponse(*response).ok()) << "op " << op;
+
+    ASSERT_TRUE((*channel)->Send(root_frame).ok());
+    response = (*channel)->Receive();
+    ASSERT_TRUE(response.ok()) << "after op " << op;
+    auto payload = rpc::DecodeResponse(*response);
+    ASSERT_TRUE(payload.ok()) << "after op " << op;
+    std::string_view view = *payload;
+    filter::NodeMeta root;
+    ASSERT_TRUE(rpc::ConsumeNodeMeta(&view, &root).ok());
+    EXPECT_EQ(root, *local_root) << "after op " << op;
+  }
+  (*channel)->Close();
+  live.Shutdown();
+  EXPECT_EQ(live.Snapshot().connections_closed, 1u);
 }
 
 // The mutation ops (24..26, DESIGN.md §12) under the decoder barrage. The

@@ -10,10 +10,13 @@
 #include "gf/ring.h"
 #include "storage/memory_backend.h"
 #include "storage/table.h"
+#include "test_helpers.h"
 #include "util/file_util.h"
 
 namespace ssdb::storage {
 namespace {
+
+using testing_helpers::Row;
 
 // Both backends must satisfy the same contract; parameterize over them.
 enum class Backend { kMemory, kDisk };
@@ -31,16 +34,17 @@ class NodeStoreTest : public ::testing::TestWithParam<Backend> {
     return std::move(*store);
   }
 
-  // Tree used throughout:    1 (root)
-  //                         / \
-  //                        2   5
-  //                       / \    \
-  //                      3   4    6
-  // pre/post: 1/(6), 2/(3), 3/(1), 4/(2), 5/(5), 6/(4)
+  // Tree used throughout, as pre(post):
+  //   1(6) root
+  //   +-- 2(3)
+  //   |   +-- 3(1)
+  //   |   +-- 4(2)
+  //   +-- 5(5)
+  //       +-- 6(4)
   void FillTree(NodeStore* store) {
     auto insert = [&](uint32_t pre, uint32_t post, uint32_t parent) {
-      NodeRow row{pre, post, parent, "share" + std::to_string(pre)};
-      SSDB_CHECK_OK(store->Insert(row));
+      SSDB_CHECK_OK(
+          store->Insert(Row(pre, post, parent, "share" + std::to_string(pre))));
     };
     insert(1, 6, 0);
     insert(2, 3, 1);
@@ -54,7 +58,7 @@ class NodeStoreTest : public ::testing::TestWithParam<Backend> {
 };
 
 TEST_P(NodeStoreTest, RowCodecRoundTrip) {
-  NodeRow row{12, 34, 5, std::string("\x01\x02\xff", 3)};
+  NodeRow row = Row(12, 34, 5, std::string("\x01\x02\xff", 3));
   auto decoded = DecodeNodeRow(EncodeNodeRow(row));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(*decoded, row);
@@ -75,9 +79,9 @@ TEST_P(NodeStoreTest, InsertAndLookup) {
 
 TEST_P(NodeStoreTest, RejectsDuplicatesAndZeroPre) {
   auto store = MakeStore("dups");
-  ASSERT_TRUE(store->Insert({1, 1, 0, "x"}).ok());
-  EXPECT_FALSE(store->Insert({1, 2, 0, "y"}).ok());
-  EXPECT_FALSE(store->Insert({0, 3, 0, "z"}).ok());
+  ASSERT_TRUE(store->Insert(Row(1, 1, 0, "x")).ok());
+  EXPECT_FALSE(store->Insert(Row(1, 2, 0, "y")).ok());
+  EXPECT_FALSE(store->Insert(Row(0, 3, 0, "z")).ok());
 }
 
 TEST_P(NodeStoreTest, RootIsParentZero) {
@@ -156,8 +160,8 @@ TEST(DiskNodeStoreTest, PersistsAcrossReopen) {
     ASSERT_TRUE(store.ok());
     for (uint32_t i = 1; i <= 500; ++i) {
       ASSERT_TRUE((*store)
-                      ->Insert({i, 501 - i, i == 1 ? 0 : 1,
-                                std::string(70, static_cast<char>(i % 256))})
+                      ->Insert(Row(i, 501 - i, i == 1 ? 0 : 1,
+                                std::string(70, static_cast<char>(i % 256))))
                       .ok());
     }
     ASSERT_TRUE((*store)->Flush().ok());
@@ -181,7 +185,7 @@ TEST(DiskNodeStoreTest, CreateRefusesExistingDatabase) {
   {
     auto store = DiskNodeStore::Create(path);
     ASSERT_TRUE(store.ok());
-    ASSERT_TRUE((*store)->Insert({1, 1, 0, "x"}).ok());
+    ASSERT_TRUE((*store)->Insert(Row(1, 1, 0, "x")).ok());
   }
   EXPECT_FALSE(DiskNodeStore::Create(path).ok());
 }
@@ -192,7 +196,7 @@ TEST(DiskNodeStoreTest, DiskStatsSeparateDataAndIndex) {
   ASSERT_TRUE(store.ok());
   for (uint32_t i = 1; i <= 2000; ++i) {
     ASSERT_TRUE(
-        (*store)->Insert({i, i, i == 1 ? 0 : 1, std::string(72, 'p')}).ok());
+        (*store)->Insert(Row(i, i, i == 1 ? 0 : 1, std::string(72, 'p'))).ok());
   }
   auto stats = (*store)->Stats();
   ASSERT_TRUE(stats.ok());

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <set>
 #include <thread>
 
 #include "rpc/channel.h"
@@ -38,17 +39,18 @@ TEST(ChannelTest, CloseUnblocksReceiver) {
 }
 
 TEST(ProtocolTest, RequestRoundTripAllOps) {
-  for (Op op : {Op::kRoot, Op::kGetNode, Op::kChildren, Op::kOpenCursor,
-                Op::kNextNodes, Op::kCloseCursor, Op::kEvalAt,
-                Op::kEvalAtBatch, Op::kFetchShare, Op::kNodeCount,
+  // Every op of the wire surface (19 since the scalar, cursor and
+  // single-group aggregate ops were retired).
+  for (Op op : {Op::kRoot, Op::kGetNode, Op::kEvalAtBatch, Op::kNodeCount,
                 Op::kShutdown, Op::kEvalPointsBatch, Op::kFetchSealed,
-                Op::kFetchShareBatch, Op::kChildrenBatch}) {
+                Op::kFetchShareBatch, Op::kChildrenBatch,
+                Op::kAggregateBatch, Op::kAggregateBatchVerified,
+                Op::kCatalog, Op::kCatalogResolve, Op::kPing,
+                Op::kMutationState, Op::kInsert, Op::kUpdate, Op::kDelete,
+                Op::kFetchColumnsBatch}) {
     Request request;
     request.op = op;
     request.pre = 12;
-    request.post = 34;
-    request.cursor = 56;
-    request.batch = 78;
     request.point = 9;
     request.pres = {1, 2, 3};
     request.points = {4, 5};
@@ -139,18 +141,15 @@ TEST(RemoteFilterTest, MatchesLocalOverInProcessChannel) {
   EXPECT_TRUE(remote.ChildrenBatch({})->empty());
   EXPECT_TRUE(remote.FetchShareBatch({})->empty());
 
-  // Cursor pipeline across the wire.
-  auto cursor = remote.OpenDescendantCursor(local_root->pre,
-                                            local_root->post);
-  ASSERT_TRUE(cursor.ok());
-  size_t streamed = 0;
-  for (;;) {
-    auto nodes = remote.NextNodes(*cursor, 4);
-    ASSERT_TRUE(nodes.ok());
-    if (nodes->empty()) break;
-    streamed += nodes->size();
-  }
-  EXPECT_EQ(streamed, *db->server->NodeCount() - 1);
+  // Level-wise descendant expansion across the wire: every proper
+  // descendant exactly once.
+  filter::ClientFilter client(db->ring, prg::Prg(db->seed), &remote);
+  auto descendants = client.Descendants({*local_root});
+  ASSERT_TRUE(descendants.ok());
+  std::set<uint32_t> distinct;
+  for (const filter::NodeMeta& node : *descendants) distinct.insert(node.pre);
+  EXPECT_EQ(distinct.size(), descendants->size());
+  EXPECT_EQ(descendants->size(), *db->server->NodeCount() - 1);
 
   // Errors transport as errors.
   EXPECT_FALSE(remote.GetNode(4242).ok());

@@ -7,6 +7,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "encode/encoder.h"
 #include "filter/client_filter.h"
@@ -35,6 +36,18 @@ struct TestDb {
   TestDb(gf::Field f, mapping::TagMap m)
       : field(f), ring(f), map(std::move(m)), seed(prg::Seed::FromUint64(7)) {}
 };
+
+// A row with the fixed columns and a share only (no sealed payload,
+// aggregate columns or nonce).
+inline storage::NodeRow Row(uint32_t pre, uint32_t post, uint32_t parent,
+                            std::string share) {
+  storage::NodeRow row;
+  row.pre = pre;
+  row.post = post;
+  row.parent = parent;
+  row.share = std::move(share);
+  return row;
+}
 
 // Tag names appearing in a document, in first-appearance order.
 inline std::vector<std::string> CollectNames(const xml::Document& doc) {
