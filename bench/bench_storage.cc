@@ -1,12 +1,14 @@
 // Ablation A2: disk (paged B+tree) backend vs in-memory backend — encode
 // throughput and query latency, isolating the storage engine's share of the
-// macro numbers. Also reports B+tree/buffer-pool micro-costs.
+// macro numbers. Also reports B+tree/buffer-pool micro-costs, including the
+// page checksum every pool miss and flush runs.
 
 #include <benchmark/benchmark.h>
 
 #include "core/database.h"
 #include "storage/btree.h"
 #include "storage/memory_backend.h"
+#include "storage/page.h"
 #include "storage/table.h"
 #include "util/file_util.h"
 #include "util/random.h"
@@ -114,6 +116,24 @@ void BM_BTreePointLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BTreePointLookup);
+
+void BM_PageSealVerify(benchmark::State& state) {
+  // The checksum work of one buffer-pool flush (seal) and one miss (verify)
+  // on a 4 KiB page.
+  storage::PageBuf page;
+  Random rng(1);
+  for (uint8_t& b : page) b = static_cast<uint8_t>(rng.Next());
+  storage::SetPageType(page.data(), storage::PageType::kHeap);
+  for (auto _ : state) {
+    storage::SealPage(page.data());
+    benchmark::DoNotOptimize(page.data());
+    benchmark::ClobberMemory();
+    benchmark::DoNotOptimize(storage::VerifyPage(page.data()));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(storage::kPageSize));
+}
+BENCHMARK(BM_PageSealVerify);
 
 void BM_DescendantScan(benchmark::State& state) {
   // The access path behind every '//' step.

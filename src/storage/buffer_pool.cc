@@ -95,18 +95,7 @@ StatusOr<size_t> BufferPool::GetFrame(PageId id, bool load) {
     frames_.emplace_back();
     frame_index = frames_.size() - 1;
   } else {
-    SSDB_RETURN_IF_ERROR(EvictOne());
-    // EvictOne leaves exactly one unpinned, unmapped frame; find it.
-    frame_index = capacity_;  // sentinel
-    for (size_t i = 0; i < frames_.size(); ++i) {
-      if (frames_[i].page_id == kInvalidPageId) {
-        frame_index = i;
-        break;
-      }
-    }
-    if (frame_index == capacity_) {
-      return Status::Internal("buffer pool eviction bookkeeping failure");
-    }
+    SSDB_ASSIGN_OR_RETURN(frame_index, EvictOne());
   }
 
   Frame& frame = frames_[frame_index];
@@ -127,7 +116,7 @@ StatusOr<size_t> BufferPool::GetFrame(PageId id, bool load) {
   return frame_index;
 }
 
-Status BufferPool::EvictOne() {
+StatusOr<size_t> BufferPool::EvictOne() {
   size_t victim = frames_.size();
   uint64_t oldest = UINT64_MAX;
   for (size_t i = 0; i < frames_.size(); ++i) {
@@ -148,7 +137,7 @@ Status BufferPool::EvictOne() {
   page_table_.erase(frame.page_id);
   frame.page_id = kInvalidPageId;
   ++stats_.evictions;
-  return Status::OK();
+  return victim;
 }
 
 Status BufferPool::FlushFrame(Frame* frame) {

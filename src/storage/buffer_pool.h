@@ -91,7 +91,8 @@ class BufferPool {
   };
 
   StatusOr<size_t> GetFrame(PageId id, bool load);
-  Status EvictOne();
+  // Frees the least recently used unpinned frame and returns its index.
+  StatusOr<size_t> EvictOne();
   Status FlushFrame(Frame* frame);
   void Unpin(size_t frame);
 

@@ -4,6 +4,15 @@
 //   [4..6)  page type (PageType)
 //   [6..8)  reserved
 // All multi-byte integers are little-endian.
+//
+// Page format v2 (the pager's meta page records the version): the checksum
+// reads the body as the 511 little-endian u64 words at [8..kPageSize) plus
+// the 4 type/reserved bytes at [4..8). The words go round-robin into four
+// independent lanes, each running xxHash64's multiply-rotate-multiply round,
+// so the multiplies of one page form four short chains instead of one chain
+// of 4092; the lanes merge and the 4 header bytes mix in as in xxHash64,
+// then an avalanche and a fold to 32 bits. 0 is reserved for "never sealed".
+// v1 files (byte-serial FNV-1a) no longer verify and must be re-encoded.
 
 #ifndef SSDB_STORAGE_PAGE_H_
 #define SSDB_STORAGE_PAGE_H_
@@ -32,28 +41,49 @@ enum class PageType : uint16_t {
   kColumnBlob = 6,  // column-store blob page, possibly chained (DESIGN.md §12)
 };
 
-inline void StoreU16(uint8_t* p, uint16_t v) {
-  p[0] = static_cast<uint8_t>(v);
-  p[1] = static_cast<uint8_t>(v >> 8);
+// Byte order of the host; the codecs below are one native load or store,
+// plus a byte swap that compiles away on little-endian hosts.
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+inline constexpr bool kBigEndianHost = true;
+#else
+inline constexpr bool kBigEndianHost = false;
+#endif
+
+template <typename T>
+constexpr T ByteSwap(T v) {
+  T out = 0;
+  for (size_t i = 0; i < sizeof(T); ++i) {
+    out = static_cast<T>((out << 8) | (v & 0xff));
+    v = static_cast<T>(v >> 8);
+  }
+  return out;
 }
+static_assert(ByteSwap<uint32_t>(0x01020304u) == 0x04030201u);
+
+template <typename T>
+inline T LoadLittleEndian(const uint8_t* p) {
+  T v;
+  std::memcpy(&v, p, sizeof(T));
+  if constexpr (kBigEndianHost) v = ByteSwap(v);
+  return v;
+}
+template <typename T>
+inline void StoreLittleEndian(uint8_t* p, T v) {
+  if constexpr (kBigEndianHost) v = ByteSwap(v);
+  std::memcpy(p, &v, sizeof(T));
+}
+
+inline void StoreU16(uint8_t* p, uint16_t v) { StoreLittleEndian(p, v); }
 inline uint16_t LoadU16(const uint8_t* p) {
-  return static_cast<uint16_t>(p[0] | (p[1] << 8));
+  return LoadLittleEndian<uint16_t>(p);
 }
-inline void StoreU32(uint8_t* p, uint32_t v) {
-  for (int i = 0; i < 4; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
-}
+inline void StoreU32(uint8_t* p, uint32_t v) { StoreLittleEndian(p, v); }
 inline uint32_t LoadU32(const uint8_t* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(p[i]) << (8 * i);
-  return v;
+  return LoadLittleEndian<uint32_t>(p);
 }
-inline void StoreU64(uint8_t* p, uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
-}
+inline void StoreU64(uint8_t* p, uint64_t v) { StoreLittleEndian(p, v); }
 inline uint64_t LoadU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  return v;
+  return LoadLittleEndian<uint64_t>(p);
 }
 
 inline void SetPageType(uint8_t* page, PageType type) {
@@ -63,8 +93,8 @@ inline PageType GetPageType(const uint8_t* page) {
   return static_cast<PageType>(LoadU16(page + 4));
 }
 
-// FNV-1a over the page body (bytes 4..end); cheap and adequate for
-// detecting torn writes / corruption in tests.
+// The v2 page checksum over bytes [4..kPageSize) (see the top of this file);
+// never 0.
 uint32_t PageChecksum(const uint8_t* page);
 
 // Computes and stores the checksum into bytes [0..4).

@@ -12,7 +12,9 @@ namespace ssdb::storage {
 namespace {
 
 constexpr uint64_t kMagic = 0x7373646231000000ULL;  // "ssdb1"
-constexpr uint32_t kVersion = 1;
+// 2: word-at-a-time page checksum (page.h). Version 1 pages carry a
+// byte-serial FNV-1a sum that this build does not read.
+constexpr uint32_t kVersion = 2;
 
 // Meta page layout (after the common 8-byte header):
 //   [8..16)   magic
@@ -41,42 +43,58 @@ StatusOr<std::unique_ptr<Pager>> Pager::Open(const std::string& path,
   auto pager = std::unique_ptr<Pager>(new Pager());
   pager->fd_ = fd;
   pager->path_ = path;
+  Status loaded = pager->LoadMeta();
+  if (!loaded.ok()) {
+    // Close the rejected file as it was found: ~Pager would write a fresh
+    // meta page over it.
+    ::close(pager->fd_);
+    pager->fd_ = -1;
+    return loaded;
+  }
+  return pager;
+}
 
-  off_t size = ::lseek(fd, 0, SEEK_END);
-  if (size < 0) return ErrnoError("lseek " + path);
+Status Pager::LoadMeta() {
+  off_t size = ::lseek(fd_, 0, SEEK_END);
+  if (size < 0) return ErrnoError("lseek " + path_);
 
   if (size == 0) {
     // Fresh file: write meta page.
-    pager->page_count_ = 1;
-    pager->free_list_head_ = kInvalidPageId;
-    SSDB_RETURN_IF_ERROR(pager->FlushMeta());
-    return pager;
+    page_count_ = 1;
+    free_list_head_ = kInvalidPageId;
+    return FlushMeta();
   }
 
   if (size % kPageSize != 0) {
-    return Status::Corruption(path + ": size not a multiple of page size");
+    return Status::Corruption(path_ + ": size not a multiple of page size");
   }
   PageBuf meta;
-  SSDB_RETURN_IF_ERROR(pager->ReadPage(0, &meta));
-  if (!VerifyPage(meta.data())) {
-    return Status::Corruption(path + ": meta page checksum mismatch");
-  }
+  SSDB_RETURN_IF_ERROR(ReadPage(0, &meta));
+  // Magic and version first: an older format's pages carry a different
+  // checksum, and the error should name the version, not the checksum.
   if (LoadU64(meta.data() + kMagicOff) != kMagic) {
-    return Status::Corruption(path + ": bad magic (not an ssdb file)");
+    return Status::Corruption(path_ + ": bad magic (not an ssdb file)");
   }
-  if (LoadU32(meta.data() + kVersionOff) != kVersion) {
-    return Status::Corruption(path + ": unsupported format version");
+  uint32_t version = LoadU32(meta.data() + kVersionOff);
+  if (version != kVersion) {
+    return Status::Corruption(
+        path_ + ": page format version " + std::to_string(version) +
+        " is not supported (this build reads version " +
+        std::to_string(kVersion) + "); re-encode the database");
   }
-  pager->page_count_ = LoadU32(meta.data() + kPageCountOff);
-  pager->free_list_head_ = LoadU32(meta.data() + kFreeHeadOff);
+  if (!VerifyPage(meta.data())) {
+    return Status::Corruption(path_ + ": meta page checksum mismatch");
+  }
+  page_count_ = LoadU32(meta.data() + kPageCountOff);
+  free_list_head_ = LoadU32(meta.data() + kFreeHeadOff);
   for (int i = 0; i < kMetaUserSlots; ++i) {
-    pager->meta_slots_[i] = LoadU64(meta.data() + kUserSlotsOff + 8 * i);
+    meta_slots_[i] = LoadU64(meta.data() + kUserSlotsOff + 8 * i);
   }
-  if (pager->page_count_ * static_cast<uint64_t>(kPageSize) >
+  if (page_count_ * static_cast<uint64_t>(kPageSize) >
       static_cast<uint64_t>(size)) {
-    return Status::Corruption(path + ": page count exceeds file size");
+    return Status::Corruption(path_ + ": page count exceeds file size");
   }
-  return pager;
+  return Status::OK();
 }
 
 Pager::~Pager() {

@@ -18,7 +18,8 @@ inline constexpr int kMetaUserSlots = 16;
 class Pager {
  public:
   // Opens or creates a database file. A fresh file gets an initialized meta
-  // page; an existing file is validated (magic + version + checksum).
+  // page; an existing file is validated (magic + version + checksum). A
+  // file that fails validation is closed unmodified.
   static StatusOr<std::unique_ptr<Pager>> Open(const std::string& path,
                                                bool create_if_missing);
 
@@ -48,6 +49,9 @@ class Pager {
  private:
   Pager() = default;
 
+  // Initializes a fresh file or validates an existing one's meta page
+  // (magic, version, checksum) and loads it.
+  Status LoadMeta();
   Status FlushMeta();
 
   int fd_ = -1;

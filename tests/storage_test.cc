@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include "storage/btree.h"
 #include "storage/buffer_pool.h"
 #include "storage/heap_file.h"
 #include "storage/page.h"
 #include "storage/pager.h"
+#include "storage/table.h"
 #include "util/file_util.h"
 #include "util/random.h"
 
@@ -30,10 +32,101 @@ TEST(PageTest, EndianHelpersRoundTrip) {
   uint8_t buf[8];
   StoreU16(buf, 0xbeef);
   EXPECT_EQ(LoadU16(buf), 0xbeef);
+  EXPECT_EQ(buf[0], 0xef);
+  EXPECT_EQ(buf[1], 0xbe);
   StoreU32(buf, 0xdeadbeef);
   EXPECT_EQ(LoadU32(buf), 0xdeadbeefu);
+  const uint8_t u32_bytes[4] = {0xef, 0xbe, 0xad, 0xde};
+  EXPECT_EQ(std::memcmp(buf, u32_bytes, 4), 0);
   StoreU64(buf, 0x0123456789abcdefULL);
   EXPECT_EQ(LoadU64(buf), 0x0123456789abcdefULL);
+  const uint8_t u64_bytes[8] = {0xef, 0xcd, 0xab, 0x89,
+                                0x67, 0x45, 0x23, 0x01};
+  EXPECT_EQ(std::memcmp(buf, u64_bytes, 8), 0);
+  // Loads read the same layout at an unaligned address.
+  uint8_t wide[9] = {0, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08};
+  EXPECT_EQ(LoadU64(wide + 1), 0x0807060504030201ULL);
+  EXPECT_EQ(LoadU32(wide + 1), 0x04030201u);
+  EXPECT_EQ(LoadU16(wide + 1), 0x0201);
+}
+
+// Every single-bit flip in the checksummed range [4, kPageSize) must fail
+// verification.
+void ExpectEveryBitFlipDetected(PageBuf page) {
+  SealPage(page.data());
+  ASSERT_TRUE(VerifyPage(page.data()));
+  size_t missed = 0;
+  for (size_t i = 4; i < kPageSize; ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      page[i] ^= static_cast<uint8_t>(1u << bit);
+      if (VerifyPage(page.data())) ++missed;
+      page[i] ^= static_cast<uint8_t>(1u << bit);
+    }
+  }
+  EXPECT_EQ(missed, 0u);
+  EXPECT_TRUE(VerifyPage(page.data()));
+}
+
+TEST(PageTest, ChecksumCatchesEveryBitFlipOnZeroBody) {
+  PageBuf page;
+  page.fill(0);
+  SetPageType(page.data(), PageType::kHeap);
+  ExpectEveryBitFlipDetected(page);
+}
+
+TEST(PageTest, ChecksumCatchesEveryBitFlipOnRandomBytes) {
+  Random rng(14);
+  PageBuf page;
+  for (uint8_t& b : page) b = static_cast<uint8_t>(rng.Next());
+  ExpectEveryBitFlipDetected(page);
+}
+
+TEST(PageTest, ChecksumCatchesEveryBitFlipOnBTreeLeaf) {
+  TempDir dir("page_leaf");
+  auto pager = Pager::Open(dir.FilePath("db"), true);
+  ASSERT_TRUE(pager.ok());
+  PageId root;
+  {
+    BufferPool pool(pager->get(), 16);
+    auto tree = BTree::Create(&pool);
+    ASSERT_TRUE(tree.ok());
+    for (uint64_t k = 1; k <= 100; ++k) {
+      ASSERT_TRUE(tree->Insert(k * 7, k * 1000 + 3).ok());
+    }
+    root = tree->root();
+    ASSERT_TRUE(pool.FlushAll().ok());
+  }
+  PageBuf leaf;
+  ASSERT_TRUE((*pager)->ReadPage(root, &leaf).ok());
+  ASSERT_EQ(GetPageType(leaf.data()), PageType::kBTreeLeaf);
+  ASSERT_TRUE(VerifyPage(leaf.data()));
+  ExpectEveryBitFlipDetected(leaf);
+}
+
+TEST(PageTest, ChecksumFieldCorruptionIsDetected) {
+  PageBuf page;
+  page.fill(0);
+  SetPageType(page.data(), PageType::kHeap);
+  page[2000] = 5;
+  SealPage(page.data());
+  for (size_t i = 0; i < 4; ++i) {
+    PageBuf copy = page;
+    copy[i] ^= 0x5a;
+    EXPECT_FALSE(VerifyPage(copy.data())) << "checksum byte " << i;
+  }
+}
+
+// Pins the v2 algorithm: a silent change would orphan every stored file.
+TEST(PageTest, ChecksumKnownAnswer) {
+  PageBuf page;
+  for (size_t i = 0; i < kPageSize; ++i) {
+    page[i] = static_cast<uint8_t>(i * 31 + 7);
+  }
+  SetPageType(page.data(), PageType::kBTreeLeaf);
+  EXPECT_EQ(PageChecksum(page.data()), 0x70778cddu);
+  page.fill(0);
+  SetPageType(page.data(), PageType::kMeta);
+  EXPECT_EQ(PageChecksum(page.data()), 0xcc01ff05u);
 }
 
 TEST(PagerTest, CreateWriteReadReopen) {
@@ -85,6 +178,50 @@ TEST(PagerTest, RejectsForeignFiles) {
   std::string path = dir.FilePath("not_a_db");
   ASSERT_TRUE(WriteStringToFile(path, std::string(8192, 'x')).ok());
   EXPECT_FALSE(Pager::Open(path, false).ok());
+  // The rejected file is left as it was.
+  EXPECT_EQ(*ReadFileToString(path), std::string(8192, 'x'));
+}
+
+// The format v1 meta page: same layout as v2, sealed with v1's byte-serial
+// FNV-1a over [4, kPageSize).
+std::string V1MetaFile() {
+  PageBuf meta;
+  meta.fill(0);
+  SetPageType(meta.data(), PageType::kMeta);
+  StoreU64(meta.data() + 8, 0x7373646231000000ULL);  // magic "ssdb1"
+  StoreU32(meta.data() + 16, 1);                      // version
+  StoreU32(meta.data() + 20, 2);                      // page count
+  StoreU32(meta.data() + 24, kInvalidPageId);         // free list head
+  StoreU64(meta.data() + 32, 1);                      // catalog root slot
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (size_t i = 4; i < kPageSize; ++i) {
+    hash ^= meta[i];
+    hash *= 0x100000001b3ULL;
+  }
+  uint32_t folded = static_cast<uint32_t>(hash ^ (hash >> 32));
+  StoreU32(meta.data(), folded == 0 ? 1 : folded);
+  return std::string(meta.begin(), meta.end()) + std::string(kPageSize, '\0');
+}
+
+TEST(PagerTest, RejectsFormatVersion1WithVersionError) {
+  TempDir dir("pager_v1");
+  std::string path = dir.FilePath("db");
+  const std::string v1 = V1MetaFile();
+  ASSERT_TRUE(WriteStringToFile(path, v1).ok());
+
+  auto pager = Pager::Open(path, false);
+  ASSERT_FALSE(pager.ok());
+  EXPECT_TRUE(pager.status().IsCorruption()) << pager.status().ToString();
+  EXPECT_NE(pager.status().message().find("version 1"), std::string::npos)
+      << pager.status().ToString();
+
+  auto store = DiskNodeStore::Open(path);
+  ASSERT_FALSE(store.ok());
+  EXPECT_TRUE(store.status().IsCorruption()) << store.status().ToString();
+  EXPECT_NE(store.status().message().find("version 1"), std::string::npos)
+      << store.status().ToString();
+
+  EXPECT_EQ(*ReadFileToString(path), v1);
 }
 
 TEST(BufferPoolTest, FetchCachesPages) {
